@@ -15,7 +15,8 @@ broken diagram can be inspected rather than merely rejected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .algebra import FactorKind, FiniteAlgebra, RepLabel
@@ -30,6 +31,7 @@ __all__ = [
     "OperatorSpec",
     "EdgePair",
     "KrajewskiDiagram",
+    "DiagramIndex",
     "DiracPart",
     "edge_part",
     "dirac_decomposition",
@@ -139,12 +141,17 @@ class KrajewskiDiagram:
     edges: tuple[EdgePair, ...]
     jmap: tuple[tuple[str, str], ...] | None = None
     families: int = 1
+    _index: DiagramIndex | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def index(self) -> DiagramIndex:
+        """The lookup tables of this diagram, made on first use."""
+        if self._index is None:
+            object.__setattr__(self, "_index", DiagramIndex(self))
+        return self._index
 
     def vertex(self, vid: str) -> DiagramVertex:
-        return self._vertex_index()[vid]
-
-    def _vertex_index(self) -> dict[str, DiagramVertex]:
-        return {v.id: v for v in self.vertices}
+        return self.index.vertices[vid]
 
     def jdict(self) -> dict[str, str]:
         """The involution as a dict; requires a stored (resolved) jmap."""
@@ -174,18 +181,73 @@ class DiracPart(enum.Enum):
     J_DELTA_J = "JDeltaJ"
 
 
+def _dirac_part(s: DiagramVertex, t: DiagramVertex) -> DiracPart | None:
+    """The part of an edge s–t; None for a diagonal edge."""
+    if s.row == t.row:
+        return DiracPart.D0 if s.col == t.col else DiracPart.DELTA
+    return DiracPart.J_DELTA_J if s.col == t.col else None
+
+
 def edge_part(d: KrajewskiDiagram, edge: EdgePair) -> DiracPart:
-    verts = d._vertex_index()
-    s, t = verts[edge.source], verts[edge.target]
-    cols_equal = s.col == t.col
-    rows_equal = s.row == t.row
-    if cols_equal and rows_equal:
-        return DiracPart.D0
-    if rows_equal:
-        return DiracPart.DELTA
-    if cols_equal:
-        return DiracPart.J_DELTA_J
-    raise ValueError(f"edge {edge.id} is diagonal (violates the first-order condition)")
+    part = _dirac_part(d.vertex(edge.source), d.vertex(edge.target))
+    if part is None:
+        raise ValueError(f"edge {edge.id} is diagonal (violates the first-order condition)")
+    return part
+
+
+class DiagramIndex:
+    """Read-only lookup tables shared by every analysis of one diagram, each
+    built on first use.  Edges with an unknown endpoint appear in no table,
+    so building never fails; validation reports them."""
+
+    def __init__(self, d: KrajewskiDiagram) -> None:
+        self.vertices: dict[str, DiagramVertex] = {v.id: v for v in d.vertices}
+        self._edges = d.edges
+
+    def _known_edges(self):
+        """(edge, source, target, part; None if diagonal) for known endpoints."""
+        for e in self._edges:
+            s, t = self.vertices.get(e.source), self.vertices.get(e.target)
+            if s is not None and t is not None:
+                yield e, s, t, _dirac_part(s, t)
+
+    @cached_property
+    def steps(self) -> dict[str, tuple[tuple[str, str, DiracPart | None], ...]]:
+        """vertex id -> sorted (edge id, other endpoint, part)."""
+        out: dict[str, list] = {vid: [] for vid in self.vertices}
+        for e, _s, _t, part in self._known_edges():
+            out[e.source].append((e.id, e.target, part))
+            if e.target != e.source:
+                out[e.target].append((e.id, e.source, part))
+        return {vid: tuple(sorted(s, key=lambda st: st[:2])) for vid, s in out.items()}
+
+    @cached_property
+    def neighbors(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """vertex id -> sorted (other vertex, least edge id to it), without
+        self-loops.  Walking the steps backwards leaves the least id."""
+        return {
+            vid: tuple(sorted({o: e for e, o, _p in reversed(vs) if o != vid}.items()))
+            for vid, vs in self.steps.items()
+        }
+
+    @cached_property
+    def cells(self) -> dict[tuple[RepLabel, RepLabel], list[str]]:
+        """(column, row) -> sorted vertex ids."""
+        out: dict[tuple[RepLabel, RepLabel], list[str]] = {}
+        for vid in sorted(self.vertices):
+            out.setdefault((self.vertices[vid].col, self.vertices[vid].row), []).append(vid)
+        return out
+
+    @cached_property
+    def horizontal(self) -> dict[tuple[RepLabel, RepLabel], list[tuple[EdgePair, bool]]]:
+        """projected edge (lo, hi) -> its horizontal edge pairs in diagram
+        order, each with whether it runs from lo to hi."""
+        out: dict[tuple[RepLabel, RepLabel], list[tuple[EdgePair, bool]]] = {}
+        for e, s, t, part in self._known_edges():
+            if part is DiracPart.DELTA:
+                key = (s.col, t.col) if s.col <= t.col else (t.col, s.col)
+                out.setdefault(key, []).append((e, s.col == key[0]))
+        return out
 
 
 def dirac_decomposition(d: KrajewskiDiagram) -> dict[DiracPart, tuple[EdgePair, ...]]:
@@ -236,7 +298,7 @@ def resolve_jmap(d: KrajewskiDiagram) -> dict[str, str]:
     unique unmatched partner w with col(w) = row(v) and row(w) = col(v)
     (possibly w = v); anything else raises ValueError.
     """
-    verts = d._vertex_index()
+    verts = d.index.vertices
     mapping: dict[str, str] = {}
     for a, b in d.jmap or ():
         if a not in verts or b not in verts:
@@ -249,11 +311,7 @@ def resolve_jmap(d: KrajewskiDiagram) -> dict[str, str]:
         if vid in mapping:
             continue
         v = verts[vid]
-        candidates = [
-            w.id
-            for w in d.vertices
-            if w.id not in mapping and w.col == v.row and w.row == v.col
-        ]
+        candidates = [w for w in d.index.cells.get((v.row, v.col), ()) if w not in mapping]
         if len(candidates) != 1:
             kind = "no" if not candidates else "several"
             raise ValueError(
@@ -284,7 +342,7 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     if not structural.ok:
         return ValidationReport(tuple(entries), None)
 
-    verts = d._vertex_index()
+    verts = d.index.vertices
 
     entries.append(
         CheckResult(
@@ -334,7 +392,7 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     signs = ko_signs(d.kodim)
     entries.append(_check_grading(d, verts, mapping, signs))
 
-    entries.append(_check_operator_shapes(d, verts))
+    entries.append(_check_operator_shapes(d))
 
     if d.kodim % 8 in (2, 3, 4, 5):
         entries.append(
@@ -430,17 +488,15 @@ def _check_grading(
     return CheckResult("grading", not problems, "error", tuple(problems))
 
 
-def _check_operator_shapes(
-    d: KrajewskiDiagram, verts: dict[str, DiagramVertex]
-) -> CheckResult:
+def _check_operator_shapes(d: KrajewskiDiagram) -> CheckResult:
+    verts = d.index.vertices
     problems = []
     for edge in d.edges:
         if not isinstance(edge.operator, NumericOperator):
             continue
         s, t = verts[edge.source], verts[edge.target]
-        try:
-            part = edge_part(d, edge)
-        except ValueError:
+        part = _dirac_part(s, t)
+        if part is None:
             continue  # reported by the first-order check
         if part is DiracPart.J_DELTA_J:
             expected = (t.row.dimension(d.algebra), s.row.dimension(d.algebra))

@@ -17,10 +17,11 @@ steps, read through the reflection j, project onto the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .algebra import RepLabel
-from .diagram import DiracPart, KrajewskiDiagram, edge_part
+from .diagram import DiracPart, KrajewskiDiagram
 
 __all__ = [
     "Cycle",
@@ -55,6 +56,14 @@ class ProjectedGraph:
     edges: tuple[ProjEdge, ...]
     psi: dict[str, ProjEdge]
 
+    @cached_property
+    def _neighbors(self) -> dict[RepLabel, tuple[RepLabel, ...]]:
+        out: dict[RepLabel, set[RepLabel]] = {}
+        for a, b in self.non_loop_edges:
+            out.setdefault(a, set()).add(b)
+            out.setdefault(b, set()).add(a)
+        return {v: tuple(sorted(w)) for v, w in out.items()}
+
     @property
     def non_loop_edges(self) -> tuple[ProjEdge, ...]:
         return tuple(e for e in self.edges if e[0] != e[1])
@@ -64,8 +73,7 @@ class ProjectedGraph:
         return tuple(e for e in self.edges if e[0] == e[1])
 
     def neighbors(self, v: RepLabel) -> tuple[RepLabel, ...]:
-        out = {b if a == v else a for a, b in self.non_loop_edges if v in (a, b)}
-        return tuple(sorted(out))
+        return self._neighbors.get(v, ())
 
 
 def project(d: KrajewskiDiagram) -> ProjectedGraph:
@@ -151,68 +159,61 @@ class LiftWitness:
         return len(self.edges)
 
 
-def _adjacency(
-    d: KrajewskiDiagram,
-) -> dict[str, tuple[tuple[str, str, DiracPart], ...]]:
-    """vertex id -> sorted steps (edge id, other endpoint, Dirac part)."""
-    steps: dict[str, list[tuple[str, str, DiracPart]]] = {v.id: [] for v in d.vertices}
-    for e in d.edges:
-        part = edge_part(d, e)
-        steps[e.source].append((e.id, e.target, part))
-        if e.target != e.source:
-            steps[e.target].append((e.id, e.source, part))
-    return {v: tuple(sorted(s)) for v, s in steps.items()}
-
-
-def _reduced_cols(cols: list[RepLabel]) -> list[RepLabel]:
-    """Collapse consecutive duplicates of a cyclic sequence."""
-    out: list[RepLabel] = []
-    for c in cols:
-        if out and out[-1] == c:
-            continue
-        out.append(c)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
-
-
 def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     """A diagram cycle whose ψ-image modulo loops is gamma_tilde, or None.
 
-    The search is exhaustive over cycles of the diagram (closed paths with
-    no repeated vertices besides the base; any Dirac part may pad the path,
-    since vertical and diagonal steps project to loops).  The projection is
-    compared as a cyclic sequence, up to rotation only.  Returns the least
-    witness by (length, vertex sequence).
+    A lift is a diagram cycle (no repeated vertices besides the base; steps
+    of any Dirac part may pad it, since vertical and diagonal steps project
+    to loops) whose column trace, repeats collapsed, equals gamma_tilde up to
+    rotation only.  Returns the least witness by (length, vertex sequence),
+    taking the least id among parallel edges.  The search tries one length
+    at a time, neighbours in id order, and extends a path only while its
+    collapsed trace is a forward window of the cyclic word at most one
+    letter longer than it, as every prefix of a lift is.  Padding keeps the
+    trace, so only the length bounds a round.
     """
-    target = list(gamma_tilde)
-    adjacency = _adjacency(d)
-    best: tuple[int, tuple[str, ...], LiftWitness] | None = None
-
-    def note(path: list[str], edges: list[str]) -> None:
-        nonlocal best
-        cols = [d.vertex(v).col for v in path]
-        if not cyclic_equal(tuple(_reduced_cols(cols)), tuple(target)):
-            return
-        witness = LiftWitness(tuple(path), tuple(edges))
-        key = (len(edges), tuple(path))
-        if best is None or key < best[:2]:
-            best = (key[0], key[1], witness)
-
-    def extend(path: list[str], edges: list[str]) -> None:
-        for eid, nxt, _part in adjacency[path[-1]]:
-            if nxt == path[0] and len(path) >= 2:
-                note(path, edges + [eid])
-            if nxt not in path:
-                path.append(nxt)
-                edges.append(eid)
-                extend(path, edges)
-                path.pop()
-                edges.pop()
-
-    for start in sorted(adjacency):
-        extend([start], [])
-    return best[2] if best else None
+    target = tuple(gamma_tilde)
+    k = len(target)
+    index = d.index
+    cols = {vid: v.col for vid, v in index.vertices.items()}
+    # a window from r that covers the word closes unless it ends on target[r]
+    closes = [k == 1 or target[r - 1] != target[r] for r in range(k)]
+    for length in range(2, len(cols) + 1):
+        reached = False  # whether any admissible path has `length` vertices
+        for start in sorted(cols):
+            # one frame per path vertex: its neighbour iterator, the window
+            # offsets still consistent with the trace, and the trace length
+            offsets = tuple(r for r in range(k) if target[r] == cols[start])
+            stack = [(iter(index.neighbors[start]), offsets, 1)] if offsets else []
+            path, edges, on_path = [start], [], {start}
+            while stack:
+                steps, live, m = stack[-1]
+                for nxt, eid in steps:
+                    if len(path) == length:
+                        if nxt == start and (m > k or m == k and any(closes[r] for r in live)):
+                            return LiftWitness(tuple(path), tuple(edges + [eid]))
+                        continue
+                    if nxt in on_path:
+                        continue
+                    grown, size = live, m
+                    if cols[nxt] != cols[path[-1]]:
+                        grown = tuple(r for r in live if target[(r + m) % k] == cols[nxt])
+                        size = m + 1
+                        if not grown or size > k + 1:
+                            continue
+                    path.append(nxt)
+                    edges.append(eid)
+                    on_path.add(nxt)
+                    stack.append((iter(index.neighbors[nxt]), grown, size))
+                    reached |= len(path) == length
+                    break
+                else:
+                    stack.pop()
+                    on_path.discard(path.pop())
+                    del edges[-1:]
+        if not reached:
+            break  # admissible paths are closed under prefixes: none is longer
+    return None
 
 
 def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
@@ -224,47 +225,24 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     cyclically — must reproduce g1; vertical steps fix the column, so their
     row trace must reproduce g2 in either orientation.
     """
-    adjacency = _adjacency(d)
+    index = d.index
     n1, n2 = len(g1), len(g2)
 
-    def search(a: tuple[RepLabel, ...], b: tuple[RepLabel, ...]) -> LiftWitness | None:
-        for start in sorted(adjacency):
-            v = d.vertex(start)
-            if v.col != a[0] or v.row != b[0]:
-                continue
-            hit = walk(a, b, start, [start], [], 0, 0)
-            if hit is not None:
-                return hit
-        return None
-
-    def walk(
-        a: tuple[RepLabel, ...],
-        b: tuple[RepLabel, ...],
-        start: str,
-        path: list[str],
-        edges: list[str],
-        i1: int,
-        i2: int,
-    ) -> LiftWitness | None:
+    def walk(a: Cycle, b: Cycle, path: list[str], edges: list[str],
+             i1: int, i2: int) -> LiftWitness | None:
         if i1 == n1 and i2 == n2:
-            if path[-1] == start:
-                return LiftWitness(tuple(path[:-1]), tuple(edges))
-            return None
-        for eid, nxt, part in adjacency[path[-1]]:
-            target = d.vertex(nxt)
-            if part is DiracPart.DELTA:
-                if i1 >= n1 or target.col != a[(i1 + 1) % n1]:
-                    continue
+            return LiftWitness(tuple(path[:-1]), tuple(edges)) if path[-1] == path[0] else None
+        for eid, nxt, part in index.steps[path[-1]]:
+            target = index.vertices[nxt]
+            if part is DiracPart.DELTA and i1 < n1 and target.col == a[(i1 + 1) % n1]:
                 di1, di2 = 1, 0
-            elif part is DiracPart.J_DELTA_J:
-                if i2 >= n2 or target.row != b[(i2 + 1) % n2]:
-                    continue
+            elif part is DiracPart.J_DELTA_J and i2 < n2 and target.row == b[(i2 + 1) % n2]:
                 di1, di2 = 0, 1
             else:
                 continue
             path.append(nxt)
             edges.append(eid)
-            hit = walk(a, b, start, path, edges, i1 + di1, i2 + di2)
+            hit = walk(a, b, path, edges, i1 + di1, i2 + di2)
             path.pop()
             edges.pop()
             if hit is not None:
@@ -276,7 +254,8 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
             a_rot = tuple(g1[r1:]) + tuple(g1[:r1])
             for r2 in range(n2):
                 b_rot = b_seq[r2:] + b_seq[:r2]
-                hit = search(a_rot, b_rot)
-                if hit is not None:
-                    return hit
+                for start in index.cells.get((a_rot[0], b_rot[0]), ()):
+                    hit = walk(a_rot, b_rot, [start], [], 0, 0)
+                    if hit is not None:
+                        return hit
     return None

@@ -33,13 +33,7 @@ import enum
 from dataclasses import dataclass
 
 from .algebra import FactorKind, FiniteAlgebra, RepLabel, gauge_lie_algebra
-from .diagram import (
-    DiracPart,
-    KrajewskiDiagram,
-    NumericOperator,
-    SymbolicOperator,
-    edge_part,
-)
+from .diagram import DiracPart, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
 from .graphs import (
     Cycle,
@@ -229,20 +223,6 @@ def _dagger(matrix: tuple[tuple[GaussRational, ...], ...]):
     )
 
 
-def _horizontal_edges_over(d: KrajewskiDiagram, etilde: ProjEdge):
-    """All horizontal edge pairs projecting onto etilde, with orientation."""
-    out = []
-    for e in d.edges:
-        if edge_part(d, e) is not DiracPart.DELTA:
-            continue
-        source_col = d.vertex(e.source).col
-        target_col = d.vertex(e.target).col
-        if proj_edge(source_col, target_col) != etilde:
-            continue
-        out.append((e, source_col == etilde[0]))
-    return out
-
-
 def basis_dimension(etilde: ProjEdge, d: KrajewskiDiagram) -> int:
     """dim S_ẽ: independent multiplets on the projected edge etilde."""
     if etilde[0] == etilde[1]:
@@ -250,7 +230,7 @@ def basis_dimension(etilde: ProjEdge, d: KrajewskiDiagram) -> int:
     labels: set[str] = set()
     matrices = []
     modes: set[str] = set()
-    for e, oriented in _horizontal_edges_over(d, etilde):
+    for e, oriented in d.index.horizontal.get(etilde, ()):
         if isinstance(e.operator, SymbolicOperator):
             modes.add("symbolic")
             labels.add(e.operator.label)
@@ -285,19 +265,6 @@ def enumerate_fields(d: KrajewskiDiagram) -> FieldInventory:
 # Generated action terms
 
 
-def _field_steps(d: KrajewskiDiagram):
-    """vertex id -> sorted (edge id, other endpoint, part) over Δ and JΔJ."""
-    steps: dict[str, list[tuple[str, str, DiracPart]]] = {v.id: [] for v in d.vertices}
-    for e in d.edges:
-        part = edge_part(d, e)
-        if part is DiracPart.D0:
-            continue
-        steps[e.source].append((e.id, e.target, part))
-        if e.target != e.source:
-            steps[e.target].append((e.id, e.source, part))
-    return {v: tuple(sorted(s)) for v, s in steps.items()}
-
-
 def _walk_slots(d: KrajewskiDiagram, walk_vertices: list[str], which: DiracPart,
                 parts: list[DiracPart]) -> Block:
     """Trace slots for the steps of the given part, in walk order.
@@ -324,7 +291,7 @@ def _closed_field_walks(d: KrajewskiDiagram, n_h: int, n_v: int):
     Vertices may repeat.  Yields (vertex ids, edge ids, parts) with the
     closing step back at the start; deterministic order.
     """
-    steps = _field_steps(d)
+    steps = d.index.steps
     total = n_h + n_v
     results = []
 
@@ -335,14 +302,12 @@ def _closed_field_walks(d: KrajewskiDiagram, n_h: int, n_v: int):
                 results.append((tuple(path[:-1]), tuple(edges), tuple(parts)))
             return
         for eid, nxt, part in steps[path[-1]]:
-            if part is DiracPart.DELTA:
-                if h == n_h:
-                    continue
+            if part is DiracPart.DELTA and h < n_h:
                 dh, dv = 1, 0
-            else:
-                if v == n_v:
-                    continue
+            elif part is DiracPart.J_DELTA_J and v < n_v:
                 dh, dv = 0, 1
+            else:
+                continue
             path.append(nxt)
             edges.append(eid)
             parts.append(part)
@@ -386,7 +351,7 @@ def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
     for lo, hi in g.non_loop_edges:
         edge = (lo, hi)
-        over = ", ".join(sorted(e.id for e, _ in _horizontal_edges_over(d, edge)))
+        over = ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ())))
         block = (TraceSlot(edge, True), TraceSlot(edge, False))
         disp = _edge_display(edge, algebra)
         for kind, coeff in (

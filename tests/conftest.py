@@ -86,6 +86,55 @@ def square_diagram() -> KrajewskiDiagram:
 
 
 # ---------------------------------------------------------------------------
+# Scaling families (the recipe of the benchmark's grid and path workloads)
+
+
+def grid_diagram(k: int) -> KrajewskiDiagram:
+    """C + M2(C)^k with a vertex at every (column, row) pair of the k + 1
+    non-conjugate labels and path edges along every row and column:
+    (k + 1)^2 vertices, 2k(k + 1) edges, R-connected in dimension 4."""
+    algebra = FiniteAlgebra.of((1, FactorKind.COMPLEX), *[(2, FactorKind.COMPLEX)] * k)
+    labels = [RepLabel(i) for i in range(k + 1)]
+    vertices = tuple(
+        DiagramVertex(f"g{c}_{r}", labels[c], labels[r], 1 if (c + r) % 2 == 0 else -1)
+        for c in range(k + 1)
+        for r in range(k + 1)
+    )
+    edges = []
+    for r in range(k + 1):
+        for c in range(k):
+            label = SymbolicOperator(f"y{c}_{r}")
+            edges.append(EdgePair(f"h{c}_{r}", f"g{c}_{r}", f"g{c + 1}_{r}", label))
+            edges.append(EdgePair(f"v{c}_{r}", f"g{r}_{c}", f"g{r}_{c + 1}", label))
+    jmap = tuple(
+        (f"g{c}_{r}", f"g{r}_{c}") for c in range(k + 1) for r in range(c, k + 1)
+    )
+    return KrajewskiDiagram(algebra, 0, vertices, tuple(edges), jmap)
+
+
+def path_diagram(n: int) -> KrajewskiDiagram:
+    """A chain of n horizontal edges along the trivial row through n + 1
+    column labels, plus its mirror down the trivial column: 2n + 1
+    vertices, 2n edges, not R-connected."""
+    algebra = FiniteAlgebra.of((1, FactorKind.COMPLEX), *[(2, FactorKind.COMPLEX)] * n)
+    one = RepLabel(0)
+    vertices = [DiagramVertex("p0", one, one, 1)]
+    jmap = [("p0", "p0")]
+    for i in range(1, n + 1):
+        sign = 1 if i % 2 == 0 else -1
+        vertices.append(DiagramVertex(f"p{i}", RepLabel(i), one, sign))
+        vertices.append(DiagramVertex(f"q{i}", one, RepLabel(i), sign))
+        jmap.append((f"p{i}", f"q{i}"))
+    edges = []
+    for i in range(n):
+        label = SymbolicOperator(f"y{i}")
+        q_prev = "p0" if i == 0 else f"q{i}"
+        edges.append(EdgePair(f"h{i}", f"p{i}", f"p{i + 1}", label))
+        edges.append(EdgePair(f"v{i}", q_prev, f"q{i + 1}", label))
+    return KrajewskiDiagram(algebra, 0, tuple(vertices), tuple(edges), tuple(jmap))
+
+
+# ---------------------------------------------------------------------------
 # Random design diagrams with a computable expected verdict
 
 

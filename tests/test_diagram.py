@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,40 @@ class TestDiracParts:
         decomp = dirac_decomposition(d)
         ids = sorted(e.id for part in decomp.values() for e in part)
         assert ids == sorted(e.id for e in d.edges)
+
+
+class TestDiagramIndex:
+    def test_builds_on_a_diagram_that_fails_validation(self):
+        algebra = FiniteAlgebra.of((2, FactorKind.COMPLEX), (3, FactorKind.COMPLEX))
+        r2, r3 = RepLabel(0), RepLabel(1)
+        d = KrajewskiDiagram(
+            algebra=algebra,
+            kodim=0,
+            vertices=(
+                DiagramVertex("a", r2, r2, sign=1),
+                DiagramVertex("b", r3, r3, sign=-1),
+            ),
+            edges=(
+                EdgePair("skew", "a", "b", SymbolicOperator("x")),
+                EdgePair("dangling", "a", "nowhere", SymbolicOperator("y")),
+            ),
+        )
+        index = d.index
+        assert index.steps["a"] == (("skew", "b", None),)
+        assert index.neighbors["b"] == (("a", "skew"),)
+        assert index.cells[(r3, r3)] == ["b"]
+        assert index.horizontal == {}
+        assert not validate(d).ok
+
+    def test_index_is_not_part_of_the_value(self):
+        d = must_validate(square_diagram())
+        fresh = must_validate(square_diagram())
+        d.index  # built on d only
+        assert d == fresh and hash(d) == hash(fresh)
+        assert repr(d) == repr(fresh)
+        moved = replace(d, families=2)
+        assert moved.index is not d.index
+        assert moved.index.horizontal == d.index.horizontal
 
 
 class TestValidation:
