@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .algebra import FactorKind, FiniteAlgebra, RepLabel
 from .exactlin import GaussRational, Matrix
@@ -43,6 +43,8 @@ __all__ = [
     "fundamental_multiplicities",
     "structural_key",
 ]
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +200,25 @@ def edge_part(d: KrajewskiDiagram, edge: EdgePair) -> DiracPart:
 class DiagramIndex:
     """Read-only lookup tables shared by every analysis of one diagram, each
     built on first use.  Edges with an unknown endpoint appear in no table,
-    so building never fails; validation reports them."""
+    so building never fails; validation reports them.
+
+    The index also keeps the result of each analysis stage (Γ̃, the cycle
+    lists, the term lists, the R-connectedness reports), so that a stage
+    runs once per diagram object however many analyses ask for it."""
 
     def __init__(self, d: KrajewskiDiagram) -> None:
         self.vertices: dict[str, DiagramVertex] = {v.id: v for v in d.vertices}
         self._edges = d.edges
+        self._stages: dict = {}
+
+    def stage(self, key, compute: Callable[[], T]) -> T:
+        """The result of ``compute()`` stored under ``key``, computed on the
+        first request.  Every caller gets the same object, so results must
+        be immutable.  An exception is raised again on every request: only
+        a returned value is kept."""
+        if key not in self._stages:
+            self._stages[key] = compute()
+        return self._stages[key]
 
     def _known_edges(self):
         """(edge, source, target, part; None if diagonal) for known endpoints."""

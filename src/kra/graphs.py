@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
+from types import MappingProxyType
+from typing import Mapping
 
 from .algebra import RepLabel
-from .diagram import DiracPart, KrajewskiDiagram
+from .diagram import DiagramIndex, DiracPart, KrajewskiDiagram
 
 __all__ = [
     "Cycle",
@@ -33,6 +35,7 @@ __all__ = [
     "canonical_cycle",
     "cyclic_equal",
     "enumerate_cycles",
+    "diagram_cycles",
     "cycle_pairs",
     "lift_cycle",
     "lift_pair",
@@ -54,7 +57,7 @@ def proj_edge(a: RepLabel, b: RepLabel) -> ProjEdge:
 class ProjectedGraph:
     vertices: tuple[RepLabel, ...]
     edges: tuple[ProjEdge, ...]
-    psi: dict[str, ProjEdge]
+    psi: Mapping[str, ProjEdge]
 
     @cached_property
     def _neighbors(self) -> dict[RepLabel, tuple[RepLabel, ...]]:
@@ -77,12 +80,18 @@ class ProjectedGraph:
 
 
 def project(d: KrajewskiDiagram) -> ProjectedGraph:
-    """Γ̃ together with the edge projection ψ."""
+    """Γ̃ together with the edge projection ψ, built once per diagram."""
+    return d.index.stage("project", lambda: _project(d))
+
+
+def _project(d: KrajewskiDiagram) -> ProjectedGraph:
     vertices = sorted({v.col for v in d.vertices})
     psi: dict[str, ProjEdge] = {}
     for e in d.edges:
         psi[e.id] = proj_edge(d.vertex(e.source).col, d.vertex(e.target).col)
-    return ProjectedGraph(tuple(vertices), tuple(sorted(set(psi.values()))), psi)
+    return ProjectedGraph(
+        tuple(vertices), tuple(sorted(set(psi.values()))), MappingProxyType(psi)
+    )
 
 
 def canonical_cycle(seq: Cycle) -> Cycle:
@@ -134,6 +143,12 @@ def enumerate_cycles(g: ProjectedGraph, max_len: int) -> tuple[Cycle, ...]:
         for start in g.vertices:
             extend([start])
     return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
+def diagram_cycles(d: KrajewskiDiagram, max_len: int) -> tuple[Cycle, ...]:
+    """``enumerate_cycles(project(d), max_len)``, enumerated once per
+    diagram and bound."""
+    return d.index.stage(("cycles", max_len), lambda: enumerate_cycles(project(d), max_len))
 
 
 def cycle_pairs(
@@ -227,35 +242,41 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     """
     index = d.index
     n1, n2 = len(g1), len(g2)
-
-    def walk(a: Cycle, b: Cycle, path: list[str], edges: list[str],
-             i1: int, i2: int) -> LiftWitness | None:
-        if i1 == n1 and i2 == n2:
-            return LiftWitness(tuple(path[:-1]), tuple(edges)) if path[-1] == path[0] else None
-        for eid, nxt, part in index.steps[path[-1]]:
-            target = index.vertices[nxt]
-            if part is DiracPart.DELTA and i1 < n1 and target.col == a[(i1 + 1) % n1]:
-                di1, di2 = 1, 0
-            elif part is DiracPart.J_DELTA_J and i2 < n2 and target.row == b[(i2 + 1) % n2]:
-                di1, di2 = 0, 1
-            else:
-                continue
-            path.append(nxt)
-            edges.append(eid)
-            hit = walk(a, b, path, edges, i1 + di1, i2 + di2)
-            path.pop()
-            edges.pop()
-            if hit is not None:
-                return hit
-        return None
-
     for b_seq in (tuple(g2), tuple(reversed(g2))):
         for r1 in range(n1):
             a_rot = tuple(g1[r1:]) + tuple(g1[:r1])
             for r2 in range(n2):
                 b_rot = b_seq[r2:] + b_seq[:r2]
                 for start in index.cells.get((a_rot[0], b_rot[0]), ()):
-                    hit = walk(a_rot, b_rot, [start], [], 0, 0)
+                    hit = _pair_walk(index, a_rot, b_rot, [start], [], 0, 0)
                     if hit is not None:
                         return hit
+    return None
+
+
+def _pair_walk(index: DiagramIndex, a: Cycle, b: Cycle, path: list[str],
+               edges: list[str], i1: int, i2: int) -> LiftWitness | None:
+    """Extend ``path`` by steps matching a and b from positions i1 and i2.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, which would keep the index, and every analysis result
+    it stores, alive until the cyclic garbage collector runs."""
+    n1, n2 = len(a), len(b)
+    if i1 == n1 and i2 == n2:
+        return LiftWitness(tuple(path[:-1]), tuple(edges)) if path[-1] == path[0] else None
+    for eid, nxt, part in index.steps[path[-1]]:
+        target = index.vertices[nxt]
+        if part is DiracPart.DELTA and i1 < n1 and target.col == a[(i1 + 1) % n1]:
+            di1, di2 = 1, 0
+        elif part is DiracPart.J_DELTA_J and i2 < n2 and target.row == b[(i2 + 1) % n2]:
+            di1, di2 = 0, 1
+        else:
+            continue
+        path.append(nxt)
+        edges.append(eid)
+        hit = _pair_walk(index, a, b, path, edges, i1 + di1, i2 + di2)
+        path.pop()
+        edges.pop()
+        if hit is not None:
+            return hit
     return None

@@ -32,19 +32,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import FactorKind, FiniteAlgebra, RepLabel, gauge_lie_algebra
+from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import DiracPart, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
 from .graphs import (
     Cycle,
     ProjEdge,
-    canonical_cycle,
     cycle_pairs,
-    enumerate_cycles,
+    diagram_cycles,
     proj_edge,
     project,
 )
-from .rconnect import QUATERNION_CONJUGATE_PAIR, exemption_check
+from .rconnect import QUATERNION_CONJUGATE_PAIR, exemption_check, shared_trivial_vertex
 
 __all__ = [
     "TermKind",
@@ -143,15 +142,21 @@ def canonical_key(term: InvariantTerm):
     return (term.kind.value, blocks)
 
 
+def _built_key(term: InvariantTerm):
+    """``canonical_key`` of a term built in this module, whose blocks are
+    canonical already."""
+    if term.kind is TermKind.YANG_MILLS_F2:
+        return (term.kind.value, term.gauge_factor)
+    return (term.kind.value, tuple(sorted(term.blocks)))
+
+
 def block_vertex_sequence(block: Block) -> tuple[RepLabel, ...]:
     return tuple(slot.source for slot in block)
 
 
-def _rotate_to(block: Block, v: RepLabel) -> Block | None:
-    for i, slot in enumerate(block):
-        if slot.source == v:
-            return block[i:] + block[:i]
-    return None
+def _rotate_to(block: Block, v: RepLabel) -> Block:
+    i = block_vertex_sequence(block).index(v)
+    return block[i:] + block[:i]
 
 
 def collapse_blocks(b1: Block, b2: Block, algebra: FiniteAlgebra) -> Block | None:
@@ -162,14 +167,10 @@ def collapse_blocks(b1: Block, b2: Block, algebra: FiniteAlgebra) -> Block | Non
     trace: rotate both to start there and concatenate.  Returns None when no
     shared trivial vertex exists.
     """
-    shared = sorted(set(block_vertex_sequence(b1)) & set(block_vertex_sequence(b2)))
-    for v in shared:
-        factor = algebra.factors[v.factor_index]
-        if factor.kind is FactorKind.COMPLEX and factor.size == 1:
-            r1, r2 = _rotate_to(b1, v), _rotate_to(b2, v)
-            if r1 is not None and r2 is not None:
-                return canonical_block(r1 + r2)
-    return None
+    v = shared_trivial_vertex(block_vertex_sequence(b1), block_vertex_sequence(b2), algebra)
+    if v is None:
+        return None
+    return canonical_block(_rotate_to(b1, v) + _rotate_to(b2, v))
 
 
 def _cycle_block(cycle: Cycle) -> Block:
@@ -331,41 +332,55 @@ def _walk_display(vertices: tuple[str, ...]) -> str:
     return " -> ".join(vertices + (vertices[0],))
 
 
-def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
-    """Every term family the expanded action produces for this diagram."""
+def _gauge_and_edge_terms(
+    d: KrajewskiDiagram, f2_coefficient: str, edge_coefficient: str, edge_origin: str
+) -> list[InvariantTerm]:
+    """The F² term of each simple gauge factor, then a mass and a kinetic
+    term on each non-loop edge of Γ̃.  ``edge_coefficient`` and
+    ``edge_origin`` are format strings over ``edge`` (the edge's display)
+    and ``over`` (the ids of the horizontal edge pairs over it)."""
     algebra = d.algebra
-    g = project(d)
-    terms: list[InvariantTerm] = []
-
-    decomp = gauge_lie_algebra(algebra)
-    for i, (series, k) in enumerate(decomp.simple_factors):
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.YANG_MILLS_F2,
-                blocks=(),
-                coefficient="-f(0)/(24*pi^2), common prefactor for every gauge factor",
-                origin="gauge sector",
-                gauge_factor=f"{series}({k})[{i}]",
-            )
+    terms = [
+        InvariantTerm(
+            kind=TermKind.YANG_MILLS_F2,
+            blocks=(),
+            coefficient=f2_coefficient,
+            origin="gauge sector",
+            gauge_factor=f"{series}({k})[{i}]",
         )
-
-    for lo, hi in g.non_loop_edges:
-        edge = (lo, hi)
-        over = ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ())))
-        block = (TraceSlot(edge, True), TraceSlot(edge, False))
-        disp = _edge_display(edge, algebra)
-        for kind, coeff in (
-            (TermKind.SCALAR_MASS, f"prop. to sum_p |M_e^p|^2, e in {{{over}}}"),
-            (TermKind.SCALAR_KINETIC, f"prop. to sum_p |M_e^p|^2, e in {{{over}}}"),
-        ):
+        for i, (series, k) in enumerate(gauge_lie_algebra(algebra).simple_factors)
+    ]
+    for edge in project(d).non_loop_edges:
+        texts = {
+            "edge": _edge_display(edge, algebra),
+            "over": ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ()))),
+        }
+        blocks = (canonical_block((TraceSlot(edge, True), TraceSlot(edge, False))),)
+        for kind in (TermKind.SCALAR_MASS, TermKind.SCALAR_KINETIC):
             terms.append(
                 InvariantTerm(
                     kind=kind,
-                    blocks=(canonical_block(block),),
-                    coefficient=coeff,
-                    origin=f"back-and-forth walks over {disp}",
+                    blocks=blocks,
+                    coefficient=edge_coefficient.format(**texts),
+                    origin=edge_origin.format(**texts),
                 )
             )
+    return terms
+
+
+def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
+    """Every term family the expanded action produces for this diagram,
+    generated once per diagram."""
+    return d.index.stage("action_terms", lambda: _action_terms(d))
+
+
+def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
+    terms = _gauge_and_edge_terms(
+        d,
+        "-f(0)/(24*pi^2), common prefactor for every gauge factor",
+        "prop. to sum_p |M_e^p|^2, e in {{{over}}}",
+        "back-and-forth walks over {edge}",
+    )
 
     seen: set = set()
     for vertices, edge_ids, parts in _closed_field_walks(d, 4, 0):
@@ -413,38 +428,21 @@ def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
 
 def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
-    """Every gauge-invariant up to degree 4 demanded by the field content."""
+    """Every gauge-invariant up to degree 4 demanded by the field content,
+    derived once per diagram."""
+    return d.index.stage("required_counterterms", lambda: _required_counterterms(d))
+
+
+def _required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     algebra = d.algebra
-    g = project(d)
-    terms: list[InvariantTerm] = []
+    terms = _gauge_and_edge_terms(
+        d,
+        "independent coefficient per gauge factor",
+        "independent coefficient c(p1, p2) per basis pair",
+        "degree-2 invariant on {edge}",
+    )
 
-    decomp = gauge_lie_algebra(algebra)
-    for i, (series, k) in enumerate(decomp.simple_factors):
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.YANG_MILLS_F2,
-                blocks=(),
-                coefficient="independent coefficient per gauge factor",
-                origin="gauge sector",
-                gauge_factor=f"{series}({k})[{i}]",
-            )
-        )
-
-    for lo, hi in g.non_loop_edges:
-        edge = (lo, hi)
-        disp = _edge_display(edge, algebra)
-        block = (TraceSlot(edge, True), TraceSlot(edge, False))
-        for kind in (TermKind.SCALAR_MASS, TermKind.SCALAR_KINETIC):
-            terms.append(
-                InvariantTerm(
-                    kind=kind,
-                    blocks=(canonical_block(block),),
-                    coefficient="independent coefficient c(p1, p2) per basis pair",
-                    origin=f"degree-2 invariant on {disp}",
-                )
-            )
-
-    cycles = enumerate_cycles(g, 4)
+    cycles = diagram_cycles(d, 4)
     for cycle in cycles:
         if len(cycle) != 4:
             continue
@@ -458,10 +456,12 @@ def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
         )
 
     two_cycles = tuple(c for c in cycles if len(c) == 2)
+    blocks = {c: _cycle_block(c) for c in two_cycles}
+    shown = {c: cycle_display(c, algebra) for c in two_cycles}
     for c1, c2 in cycle_pairs(two_cycles, 4):
-        b1, b2 = _cycle_block(c1), _cycle_block(c2)
+        b1, b2 = blocks[c1], blocks[c2]
         collapsed = collapse_blocks(b1, b2, algebra)
-        pair_disp = f"{cycle_display(c1, algebra)} + {cycle_display(c2, algebra)}"
+        pair_disp = f"{shown[c1]} + {shown[c2]}"
         if collapsed is not None:
             terms.append(
                 InvariantTerm(
@@ -485,7 +485,7 @@ def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
     unique: dict = {}
     for t in terms:
-        unique.setdefault(canonical_key(t), t)
+        unique.setdefault(_built_key(t), t)
     return tuple(unique.values())
 
 
@@ -518,13 +518,13 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
     algebra = d.algebra
     index: dict = {}
     for t in action_terms(d):
-        index.setdefault(canonical_key(t), t)
+        index.setdefault(_built_key(t), t)
         if t.kind is TermKind.QUARTIC and len(t.blocks) == 2:
             collapsed = collapse_blocks(t.blocks[0], t.blocks[1], algebra)
             if collapsed is not None:
                 index.setdefault((TermKind.QUARTIC.value, (collapsed,)), t)
     entries = tuple(
-        CoverageEntry(req, index.get(canonical_key(req)))
+        CoverageEntry(req, index.get(_built_key(req)))
         for req in required_counterterms(d)
     )
     return CoverageReport(entries)

@@ -26,17 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from typing import Iterable
 
-from .algebra import FactorKind, RepLabel
+from .algebra import FactorKind, FiniteAlgebra, RepLabel
 from .diagram import KrajewskiDiagram
 from .graphs import (
     Cycle,
     LiftWitness,
     cycle_pairs,
-    enumerate_cycles,
+    diagram_cycles,
     lift_cycle,
     lift_pair,
-    project,
 )
 
 __all__ = [
@@ -59,16 +59,26 @@ class Exemption:
     vertex: RepLabel | None = None
 
 
+def shared_trivial_vertex(
+    a: Iterable[RepLabel], b: Iterable[RepLabel], algebra: FiniteAlgebra
+) -> RepLabel | None:
+    """The least label in both a and b that carries a one-dimensional
+    complex representation ("1" or "1̄"), or None."""
+    for v in sorted(set(a) & set(b)):
+        factor = algebra.factors[v.factor_index]
+        if factor.kind is FactorKind.COMPLEX and factor.size == 1:
+            return v
+    return None
+
+
 def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
     """Decide whether the pair (g1, g2) is excused from condition (2)."""
     algebra = d.algebra
-    shared = sorted(set(g1) & set(g2))
-    for v in shared:
-        factor = algebra.factors[v.factor_index]
-        if factor.kind is FactorKind.COMPLEX and factor.size == 1:
-            return Exemption(True, SHARED_TRIVIAL_VERTEX, v)
+    trivial = shared_trivial_vertex(g1, g2, algebra)
+    if trivial is not None:
+        return Exemption(True, SHARED_TRIVIAL_VERTEX, trivial)
     if len(g1) == 2 and len(g2) == 2:
-        for v in shared:
+        for v in sorted(set(g1) & set(g2)):
             if algebra.factors[v.factor_index].kind is not FactorKind.QUATERNION:
                 continue
             other1 = g1[0] if g1[1] == v else g1[1]
@@ -125,12 +135,20 @@ class RConnectReport:
 def check_r_connected(
     d: KrajewskiDiagram, m: int, strict_bounds: bool = False
 ) -> RConnectReport:
-    """Evaluate the three conditions in dimension m and collect witnesses."""
+    """Evaluate the three conditions in dimension m and collect witnesses.
+
+    The report is computed once per diagram, m and strict_bounds."""
     if m < 0:
         raise ValueError("dimension must be non-negative")
+    return d.index.stage(
+        ("check_r_connected", m, strict_bounds),
+        lambda: _check_r_connected(d, m, strict_bounds),
+    )
+
+
+def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RConnectReport:
     bound = m - 1 if strict_bounds else m
-    g = project(d)
-    cycles = enumerate_cycles(g, bound) if bound >= 2 else ()
+    cycles = diagram_cycles(d, bound) if bound >= 2 else ()
 
     cond1 = tuple(CycleLift(c, lift_cycle(c, d)) for c in cycles)
 

@@ -1,0 +1,78 @@
+"""One analysis of a diagram runs each stage once.
+
+The op of the benchmark's library workloads (``bench/analysis.py``) is the
+full analysis a user asks for: fields, action terms, required terms,
+coverage, ``check_r_connected(d, 4)`` and ``renorm_verdict(d, 4)``.  Several
+of these read the same stages (Γ̃, the cycle list, both term lists, the
+dimension-4 R-connectedness report); the diagram's index keeps each result,
+so each stage body runs once however many public calls ask for it.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from kra import builtin, check_r_connected, graphs, invariants, rconnect
+
+from conftest import must_validate, path_diagram
+
+ANALYSIS = Path(__file__).resolve().parent.parent / "bench" / "analysis.py"
+
+#: (module, attribute) of each stage body and of the pair lift search
+COUNTED = (
+    (graphs, "_project"),
+    (graphs, "enumerate_cycles"),
+    (invariants, "_action_terms"),
+    (invariants, "_required_counterterms"),
+    (rconnect, "_check_r_connected"),
+    (rconnect, "lift_pair"),
+)
+
+
+def _analyse(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_analysis", ANALYSIS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.analyse
+
+
+def _count_calls(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for module, attr in COUNTED:
+        original = getattr(module, attr)
+
+        def counted(*args, _name=attr, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: builtin("sm"), lambda: path_diagram(10)], ids=["sm", "path10"]
+)
+def test_each_stage_runs_once_per_analysis(build, monkeypatch):
+    analyse = _analyse(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    analyse(must_validate(build()))
+    analysis_calls = {attr: calls[attr] for _module, attr in COUNTED}
+    calls.clear()
+    check_r_connected(must_validate(build()), 4)
+    one_check = calls["lift_pair"]  # 0 on sm: every pair there is exempt
+
+    assert analysis_calls == {
+        "_project": 1,
+        "enumerate_cycles": 1,
+        "_action_terms": 1,
+        "_required_counterterms": 1,
+        "_check_r_connected": 1,
+        "lift_pair": one_check,
+    }

@@ -18,12 +18,16 @@ from kra import (
     NumericOperator,
     RepLabel,
     SymbolicOperator,
+    action_terms,
     builtin,
+    check_r_connected,
     dirac_decomposition,
     edge_part,
     fundamental_multiplicities,
     hilbert_dimension,
     ko_signs,
+    project,
+    required_counterterms,
     resolve_jmap,
     structural_key,
     validate,
@@ -139,6 +143,58 @@ class TestDiagramIndex:
         moved = replace(d, families=2)
         assert moved.index is not d.index
         assert moved.index.horizontal == d.index.horizontal
+
+    @staticmethod
+    def run_stages(d):
+        return (
+            project(d),
+            action_terms(d),
+            required_counterterms(d),
+            check_r_connected(d, 4),
+        )
+
+    def test_stored_results_are_not_part_of_the_value(self):
+        d = must_validate(builtin("sm"))
+        fresh = must_validate(builtin("sm"))
+        self.run_stages(d)
+        assert d == fresh and hash(d) == hash(fresh)
+        assert repr(d) == repr(fresh)
+
+    def test_a_replaced_copy_starts_empty(self):
+        d = must_validate(builtin("sm"))
+        stored = self.run_stages(d)
+        assert self.run_stages(d) == stored
+        assert all(a is b for a, b in zip(self.run_stages(d), stored))
+        copy = replace(d)
+        again = self.run_stages(copy)
+        assert again == stored
+        assert not any(a is b for a, b in zip(again, stored))
+
+    @pytest.mark.parametrize("name", ["sm", "chain"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rconnect_reports_are_stored_per_dimension_and_bounds(self, name, reverse):
+        asks = [(3, False), (4, False), (4, True)]
+        if reverse:
+            asks.reverse()
+        d = must_validate(builtin(name))
+        for m, strict in asks:
+            got = check_r_connected(d, m, strict_bounds=strict)
+            want = check_r_connected(must_validate(builtin(name)), m, strict_bounds=strict)
+            assert got == want
+            assert (got.dimension, got.strict_bounds) == (m, strict)
+        for m, strict in asks:
+            assert check_r_connected(d, m, strict_bounds=strict) == check_r_connected(
+                must_validate(builtin(name)), m, strict_bounds=strict
+            )
+
+    def test_a_rejected_dimension_raises_every_time(self):
+        d = must_validate(builtin("sm"))
+        with pytest.raises(ValueError):
+            check_r_connected(d, -1)
+        check_r_connected(d, 4)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                check_r_connected(d, -1)
 
 
 class TestValidation:

@@ -29,7 +29,7 @@ from kra import (
 from kra.graphs import proj_edge
 from kra.invariants import TraceSlot, structure_display
 
-from conftest import must_validate, square_diagram
+from conftest import grid_diagram, load_fixture, must_validate, path_diagram, square_diagram
 
 
 def kinds(terms):
@@ -248,6 +248,43 @@ class TestActionTerms:
         terms = action_terms(d)
         keys = [canonical_key(t) for t in terms]
         assert len(keys) == len(set(keys))
+
+
+class TestBuiltBlocksAreCanonical:
+    """Coverage and the dedupe of required terms key a term by its kind and
+    sorted blocks, without canonicalizing again; that is canonical_key only
+    while every block the two term builders make is canonical already."""
+
+    @staticmethod
+    def built_key(term):
+        if term.kind is TermKind.YANG_MILLS_F2:
+            return (term.kind.value, term.gauge_factor)
+        return (term.kind.value, tuple(sorted(term.blocks)))
+
+    def assert_canonical(self, name, d):
+        for term in action_terms(d) + required_counterterms(d):
+            assert self.built_key(term) == canonical_key(term), (name, term.origin)
+
+    def test_corpus(self, corpus):
+        rows, _ = corpus
+        for name, d, _meta in rows:
+            self.assert_canonical(name, d)
+
+    @pytest.mark.parametrize("name", ["sm.kra", "chain.kra", "chain_repaired.kra"])
+    def test_fixtures(self, name):
+        self.assert_canonical(name, must_validate(load_fixture(name)))
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("grid2", lambda: grid_diagram(2)),
+            ("grid3", lambda: grid_diagram(3)),
+            ("path5", lambda: path_diagram(5)),
+            ("path10", lambda: path_diagram(10)),
+        ],
+    )
+    def test_families(self, name, build):
+        self.assert_canonical(name, must_validate(build()))
 
 
 class TestRequiredCounterterms:
