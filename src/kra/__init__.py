@@ -7,185 +7,24 @@ the counterterms gauge invariance demands, decides R-connectedness, and
 issues the renormalizability verdict for the asymptotically expanded
 action.  A ``.kra`` text format and the ``kra`` command-line tool wrap the
 library.
+
+The package exports every name in its submodules' ``__all__``.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    AlgebraFactor,
-    FactorKind,
-    FiniteAlgebra,
-    GaugeAlgebraDecomposition,
-    RepLabel,
-    UnimodularityRelation,
-    algebra_dimension,
-    simple_factor_dimension,
-    gauge_lie_algebra,
-    irrep_correspondence_check,
-    unimodularity_relation,
-)
-from .builtins import BUILTIN_SUMMARIES, builtin, builtin_names
-from .diagram import (
-    CheckResult,
-    DiagramVertex,
-    DiracPart,
-    EdgePair,
-    KOSigns,
-    KrajewskiDiagram,
-    NumericOperator,
-    SymbolicOperator,
-    ValidationReport,
-    dirac_decomposition,
-    edge_part,
-    fundamental_multiplicities,
-    hilbert_dimension,
-    ko_signs,
-    resolve_jmap,
-    structural_key,
-    validate,
-)
-from .dsl import ParseError, SourceSpan, format_entry, parse, serialize
-from .exactlin import GaussRational, matrix_rank, span_rank
-from .graphs import (
-    LiftWitness,
-    ProjEdge,
-    ProjectedGraph,
-    canonical_cycle,
-    cycle_pairs,
-    cyclic_equal,
-    diagram_cycles,
-    enumerate_cycles,
-    lift_cycle,
-    lift_pair,
-    project,
-)
-from .invariants import (
-    CoverageReport,
-    FieldComponent,
-    FieldInventory,
-    InvariantTerm,
-    TermKind,
-    action_terms,
-    basis_dimension,
-    canonical_block,
-    canonical_key,
-    collapse_blocks,
-    counterterm_coverage,
-    enumerate_fields,
-    required_counterterms,
-)
-from .powercount import (
-    IRREP_HYPOTHESIS,
-    NON_MULTIPLICATIVE_NOTE,
-    ORDER_EIGHT_VACUUM_NOTE,
-    ORDER_FOUR_NOTE,
-    RCONNECT_HYPOTHESIS,
-    ExpansionOrder,
-    GraphProfile,
-    HeatKernelCoefficients,
-    Verdict,
-    heat_kernel_coefficients,
-    omega_bound,
-    omega_external,
-    propagator_uv_degrees,
-    renorm_verdict,
-    validate_profile,
-)
-from .rconnect import (
-    QUATERNION_CONJUGATE_PAIR,
-    SHARED_TRIVIAL_VERTEX,
-    Exemption,
-    RConnectReport,
-    check_r_connected,
-    exemption_check,
-)
+from . import algebra, builtins, diagram, dsl, exactlin, graphs, invariants, powercount, rconnect
+from .algebra import *  # noqa: F401,F403
+from .builtins import *  # noqa: F401,F403
+from .diagram import *  # noqa: F401,F403
+from .dsl import *  # noqa: F401,F403
+from .exactlin import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
+from .powercount import *  # noqa: F401,F403
+from .rconnect import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "AlgebraFactor",
-    "FactorKind",
-    "FiniteAlgebra",
-    "GaugeAlgebraDecomposition",
-    "RepLabel",
-    "UnimodularityRelation",
-    "algebra_dimension",
-    "simple_factor_dimension",
-    "gauge_lie_algebra",
-    "irrep_correspondence_check",
-    "unimodularity_relation",
-    "BUILTIN_SUMMARIES",
-    "builtin",
-    "builtin_names",
-    "CheckResult",
-    "DiagramVertex",
-    "DiracPart",
-    "EdgePair",
-    "KOSigns",
-    "KrajewskiDiagram",
-    "NumericOperator",
-    "SymbolicOperator",
-    "ValidationReport",
-    "dirac_decomposition",
-    "edge_part",
-    "fundamental_multiplicities",
-    "hilbert_dimension",
-    "ko_signs",
-    "resolve_jmap",
-    "structural_key",
-    "validate",
-    "ParseError",
-    "SourceSpan",
-    "format_entry",
-    "parse",
-    "serialize",
-    "GaussRational",
-    "matrix_rank",
-    "span_rank",
-    "LiftWitness",
-    "ProjEdge",
-    "ProjectedGraph",
-    "canonical_cycle",
-    "cycle_pairs",
-    "cyclic_equal",
-    "enumerate_cycles",
-    "diagram_cycles",
-    "lift_cycle",
-    "lift_pair",
-    "project",
-    "CoverageReport",
-    "FieldComponent",
-    "FieldInventory",
-    "InvariantTerm",
-    "TermKind",
-    "action_terms",
-    "basis_dimension",
-    "canonical_block",
-    "canonical_key",
-    "collapse_blocks",
-    "counterterm_coverage",
-    "enumerate_fields",
-    "required_counterterms",
-    "IRREP_HYPOTHESIS",
-    "NON_MULTIPLICATIVE_NOTE",
-    "ORDER_EIGHT_VACUUM_NOTE",
-    "ORDER_FOUR_NOTE",
-    "RCONNECT_HYPOTHESIS",
-    "ExpansionOrder",
-    "GraphProfile",
-    "HeatKernelCoefficients",
-    "Verdict",
-    "heat_kernel_coefficients",
-    "omega_bound",
-    "omega_external",
-    "propagator_uv_degrees",
-    "renorm_verdict",
-    "validate_profile",
-    "QUATERNION_CONJUGATE_PAIR",
-    "SHARED_TRIVIAL_VERTEX",
-    "Exemption",
-    "RConnectReport",
-    "check_r_connected",
-    "exemption_check",
-]
+_SUBMODULES = (algebra, builtins, diagram, dsl, exactlin, graphs, invariants, powercount, rconnect)
+__all__ = ["__version__"] + [name for module in _SUBMODULES for name in module.__all__]

@@ -18,17 +18,13 @@ from __future__ import annotations
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
 from .diagram import DiagramVertex, EdgePair, KrajewskiDiagram, SymbolicOperator
 
-__all__ = ["builtin", "builtin_names", "BUILTIN_SUMMARIES"]
+__all__ = ["builtin", "BUILTIN_SUMMARIES"]
 
 BUILTIN_SUMMARIES: dict[str, str] = {
     "ym": "pure Yang-Mills: M_N(C) on C^N x C^N*, no edges (use ym:N, e.g. ym:3)",
     "sm": "Standard Model: C + H + M3(C), KO-dimension 6, 3 families, 12 vertices",
     "chain": "non-R-connected counterexample: path 1 - 2 - 1~ - 3 and its mirror",
 }
-
-
-def builtin_names() -> tuple[str, ...]:
-    return tuple(sorted(BUILTIN_SUMMARIES))
 
 
 def builtin(name: str, param: int | None = None) -> KrajewskiDiagram:

@@ -5,10 +5,11 @@ Every subcommand emits either a human-readable text report or, with
 
     {"command", "input", "result", "warnings", "version"}
 
-and deterministic key order.  Verdicts and witnesses are identical across
-the two formats.  Exit codes: 0 success (negative verdicts included),
-2 parse error, 3 validation failure, 4 negative verdict under ``--strict``,
-64 usage error.
+and deterministic key order.  Each subcommand computes its ``result`` once;
+the text report is rendered from that dict alone, so verdicts and witnesses
+are identical across the two formats.  Exit codes: 0 success (negative
+verdicts included), 2 unreadable or unparsable input, 3 validation failure,
+4 negative verdict under ``--strict``, 64 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .algebra import (
@@ -60,10 +63,7 @@ __all__ = ["main"]
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """Raised as ``_CliError(code, message)``; ``main`` prints the message, returns the code."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,121 +71,33 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(64, f"{self.prog}: error: {message}")
 
 
-def _order_arg(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _order_arg(text: str) -> int:
     try:
-        return expansion_order(value)
+        return expansion_order(_int_arg(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _dim_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError("dimension must be non-negative")
     return value
 
 
-_INPUT_COMMANDS = {
-    "validate",
-    "gauge-algebra",
-    "fields",
-    "action-terms",
-    "counterterms",
-    "coverage",
-    "check-rconnect",
-    "verdict",
-    "fmt",
-}
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="kra", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"kra {__version__}")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 4 when the command's verdict is negative",
-        )
-        if name in _INPUT_COMMANDS:
-            p.add_argument("--builtin", help="builtin diagram name (e.g. sm, chain, ym:3)")
-            p.add_argument("--file", help="path to a .kra file")
-            p.add_argument("path", nargs="?", help="path to a .kra file")
-        return p
-
-    add("validate", "check the diagram axioms")
-    add("gauge-algebra", "gauge Lie algebra, dimension, unimodularity")
-    add("fields", "independent scalar field components")
-    add("action-terms", "trace terms generated by the expanded action")
-    add("counterterms", "gauge-invariant counterterms the field content demands")
-    add("coverage", "match required counterterms against generated terms")
-    rc = add("check-rconnect", "decide R-connectedness in dimension m")
-    rc.add_argument("--dim", type=_dim_arg, default=4, help="dimension m (default 4)")
-    rc.add_argument(
-        "--strict-bounds",
-        action="store_true",
-        help='use the strict "< m" length bound instead of the inclusive one',
-    )
-    pc = add("powercount", "propagator degrees, heat-kernel coefficients, profiles")
-    pc.add_argument("-n", type=_order_arg, default=4, help="expansion order (default 4)")
-    pc.add_argument(
-        "--profile",
-        help="JSON graph profile to check and bound "
-        '(e.g. \'{"L":1,"I_A":2,"V":{"3,0":2},"E_A":2}\')',
-    )
-    vd = add("verdict", "renormalizability verdict for the expanded action")
-    vd.add_argument("-n", type=_order_arg, default=4, help="expansion order (default 4)")
-    add("builtins", "list builtin diagrams")
-    add("fmt", "canonical serialization of a diagram")
-    return parser
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
 # ---------------------------------------------------------------------------
-# Input loading and shared rendering
-
-
-def _load_diagram(args) -> tuple[KrajewskiDiagram, dict]:
-    sources = [s for s in (args.builtin, args.file, args.path) if s]
-    if len(sources) != 1:
-        raise _CliError(
-            64, "kra: error: provide exactly one of --builtin, --file, or a file path"
-        )
-    if args.builtin:
-        try:
-            return builtin(args.builtin), {"kind": "builtin", "name": args.builtin}
-        except (KeyError, ValueError) as exc:
-            raise _CliError(64, f"kra: error: {exc}") from None
-    path = args.file or args.path
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(2, f"kra: cannot read {path}: {exc.strerror or exc}") from None
-    try:
-        return parse(text), {"kind": "file", "path": path}
-    except ParseError as exc:
-        raise _CliError(2, f"{path}:{exc}") from None
-
-
-def _validated(d: KrajewskiDiagram) -> tuple[KrajewskiDiagram, ValidationReport]:
-    report = validate(d)
-    if not report.ok:
-        lines = [
-            f"{entry.check}: {'; '.join(entry.details) or 'failed'}"
-            for entry in report.failures()
-        ]
-        raise _CliError(3, "validation failed\n" + "\n".join(f"  {ln}" for ln in lines))
-    return report.diagram or d, report
+# JSON pieces shared by several results
 
 
 def _cycle_json(cycle: Cycle, d: KrajewskiDiagram) -> dict:
@@ -195,19 +107,14 @@ def _cycle_json(cycle: Cycle, d: KrajewskiDiagram) -> dict:
     }
 
 
-def _witness_display(w: LiftWitness, d: KrajewskiDiagram) -> str:
-    labels = [f"{vid}({d.vertex(vid).col.display(d.algebra)})" for vid in w.vertices]
-    labels.append(labels[0])
-    return " -> ".join(labels)
-
-
 def _witness_json(w: LiftWitness | None, d: KrajewskiDiagram) -> dict | None:
     if w is None:
         return None
+    labels = [f"{vid}({d.vertex(vid).col.display(d.algebra)})" for vid in w.vertices]
     return {
         "vertices": list(w.vertices),
         "edges": list(w.edges),
-        "display": _witness_display(w, d),
+        "display": " -> ".join(labels + labels[:1]),
     }
 
 
@@ -223,67 +130,42 @@ def _term_json(t: InvariantTerm, d: KrajewskiDiagram) -> dict:
     return out
 
 
-def _emit(args, command: str, descriptor, result, lines, warnings) -> None:
-    if args.json:
-        envelope = {
-            "command": command,
-            "input": descriptor,
-            "result": result,
-            "warnings": list(warnings),
-            "version": __version__,
-        }
-        print(json.dumps(envelope, sort_keys=True, ensure_ascii=False, indent=2))
-        return
-    for line in lines:
-        print(line)
-    for warning in warnings:
-        print(f"warning: {warning}")
-
-
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommands: a result builder and a text renderer that reads only the result.
+# Builders name the analysis functions in their bodies, so the names are
+# looked up at call time (a tracer that rebinds them here still sees them).
 
 
-def _cmd_validate(args) -> int:
-    d, descriptor = _load_diagram(args)
-    report = validate(d)
+def _validate_result(args, d: KrajewskiDiagram, report: ValidationReport) -> dict:
+    result = {
+        "ok": report.ok,
+        "checks": [
+            {"check": e.check, "ok": e.ok, "severity": e.severity, "details": list(e.details)}
+            for e in report.entries
+        ],
+    }
+    if report.ok:
+        result["hilbert_dimension"] = hilbert_dimension(d)
+    return result
+
+
+def _validate_text(r: dict) -> list[str]:
     marks = {"error": "FAIL", "warning": "warn", "info": "info"}
     lines = []
-    checks = []
-    for entry in report.entries:
-        mark = "ok" if entry.ok else marks[entry.severity]
-        detail = f": {'; '.join(entry.details)}" if entry.details else ""
-        lines.append(f"[{mark}] {entry.check}{detail}")
-        checks.append(
-            {
-                "check": entry.check,
-                "ok": entry.ok,
-                "severity": entry.severity,
-                "details": list(entry.details),
-            }
-        )
-    lines.append(f"overall: {'PASS' if report.ok else 'FAIL'}")
-    result = {"ok": report.ok, "checks": checks}
-    if report.ok:
-        resolved = report.diagram or d
-        result["hilbert_dimension"] = hilbert_dimension(resolved)
-        lines.append(f"hilbert dimension: {result['hilbert_dimension']}")
-    _emit(args, "validate", descriptor, result, lines, report.warnings)
-    return 0 if report.ok else 3
+    for c in r["checks"]:
+        detail = f": {'; '.join(c['details'])}" if c["details"] else ""
+        lines.append(f"[{'ok' if c['ok'] else marks[c['severity']]}] {c['check']}{detail}")
+    lines.append(f"overall: {'PASS' if r['ok'] else 'FAIL'}")
+    if "hilbert_dimension" in r:
+        lines.append(f"hilbert dimension: {r['hilbert_dimension']}")
+    return lines
 
 
-def _cmd_gauge_algebra(args) -> int:
-    d, descriptor = _load_diagram(args)
-    d, report = _validated(d)
+def _gauge_algebra_result(args, d: KrajewskiDiagram, report) -> dict:
     decomp = gauge_lie_algebra(d.algebra)
     multiplicities = fundamental_multiplicities(d)
     relation = unimodularity_relation(d.algebra, multiplicities)
-    constraint_text = (
-        " + ".join(f"{coef}*u[{idx}]" for idx, coef in relation.constraint) + " = 0"
-        if relation.constraint
-        else "none"
-    )
-    result = {
+    return {
         "decomposition": decomp.display(),
         "simple_factors": [
             {"name": f"{series}({k})", "dimension": simple_factor_dimension(series, k)}
@@ -297,157 +179,156 @@ def _cmd_gauge_algebra(args) -> int:
                 {"factor_index": idx, "coefficient": coef}
                 for idx, coef in relation.constraint
             ],
-            "display": constraint_text,
+            "display": (
+                " + ".join(f"{coef}*u[{idx}]" for idx, coef in relation.constraint) + " = 0"
+                if relation.constraint
+                else "none"
+            ),
             "effective_abelian_rank": relation.effective_abelian_rank,
             "degenerate": relation.degenerate,
         },
     }
-    lines = [
-        f"gauge algebra: {decomp.display()}",
-        f"dimension: {result['total_dimension']}",
-        f"fundamental multiplicities: {tuple(multiplicities)}",
-        f"unimodularity constraint: {constraint_text}",
-        f"effective abelian rank: {relation.effective_abelian_rank}",
+
+
+def _gauge_algebra_text(r: dict) -> list[str]:
+    return [
+        f"gauge algebra: {r['decomposition']}",
+        f"dimension: {r['total_dimension']}",
+        f"fundamental multiplicities: {tuple(r['fundamental_multiplicities'])}",
+        f"unimodularity constraint: {r['unimodularity']['display']}",
+        f"effective abelian rank: {r['unimodularity']['effective_abelian_rank']}",
     ]
-    _emit(args, "gauge-algebra", descriptor, result, lines, report.warnings)
-    return 0
 
 
-def _cmd_fields(args) -> int:
-    d, descriptor = _load_diagram(args)
-    d, report = _validated(d)
+def _fields_result(args, d: KrajewskiDiagram, report) -> dict:
     inventory = enumerate_fields(d)
-    components = [
-        {
-            "edge": f"{{{c.edge[0].display(d.algebra)},{c.edge[1].display(d.algebra)}}}",
-            "basis_index": c.basis_index,
-            "source": c.source_rep.display(d.algebra),
-            "target": c.target_rep.display(d.algebra),
-        }
-        for c in inventory.components
-    ]
-    result = {
+    return {
         "total_components": inventory.total_components,
-        "multiplets": components,
+        "multiplets": [
+            {
+                "edge": f"{{{c.edge[0].display(d.algebra)},{c.edge[1].display(d.algebra)}}}",
+                "basis_index": c.basis_index,
+                "source": c.source_rep.display(d.algebra),
+                "target": c.target_rep.display(d.algebra),
+            }
+            for c in inventory.components
+        ],
     }
-    lines = [f"independent scalar components: {inventory.total_components}"]
-    for c in components:
-        lines.append(
-            f"  phi{c['edge']} p={c['basis_index']} "
-            f"({c['source']} -> {c['target']})"
-        )
-    _emit(args, "fields", descriptor, result, lines, report.warnings)
-    return 0
 
 
-def _terms_command(args, command: str, produce) -> int:
-    d, descriptor = _load_diagram(args)
-    d, report = _validated(d)
-    terms = produce(d)
-    result = {"count": len(terms), "terms": [_term_json(t, d) for t in terms]}
-    lines = [f"{command.replace('-', ' ')}: {len(terms)}"]
-    for t in terms:
-        lines.append(
-            f"  [{t.kind.value}] {structure_display(t, d.algebra)}"
-            f" | {t.coefficient} | {t.origin}"
-        )
-    _emit(args, command, descriptor, result, lines, report.warnings)
-    return 0
+def _fields_text(r: dict) -> list[str]:
+    return [f"independent scalar components: {r['total_components']}"] + [
+        f"  phi{c['edge']} p={c['basis_index']} ({c['source']} -> {c['target']})"
+        for c in r["multiplets"]
+    ]
 
 
-def _cmd_coverage(args) -> int:
-    d, descriptor = _load_diagram(args)
-    d, report = _validated(d)
+def _terms_result(terms: tuple[InvariantTerm, ...], d: KrajewskiDiagram) -> dict:
+    return {"count": len(terms), "terms": [_term_json(t, d) for t in terms]}
+
+
+def _terms_text(title: str, r: dict) -> list[str]:
+    return [f"{title}: {r['count']}"] + [
+        f"  [{t['kind']}] {t['structure']} | {t['coefficient']} | {t['origin']}"
+        for t in r["terms"]
+    ]
+
+
+def _coverage_result(args, d: KrajewskiDiagram, report) -> dict:
     coverage = counterterm_coverage(d)
-    entries = []
-    lines = [f"coverage: {'complete' if coverage.complete else 'incomplete'}"]
-    for entry in coverage.entries:
-        matched = entry.matched
-        entries.append(
+    missing = [_term_json(t, d) for t in coverage.missing]
+    return {
+        "complete": coverage.complete,
+        "entries": [
             {
                 "required": _term_json(entry.required, d),
-                "matched": None if matched is None else _term_json(matched, d),
+                "matched": None if entry.matched is None else _term_json(entry.matched, d),
             }
-        )
-        shape = structure_display(entry.required, d.algebra)
-        if matched is None:
-            lines.append(f"  [MISSING] {shape} ({entry.required.origin})")
-        else:
-            lines.append(f"  [ok] {shape} <- {matched.origin}")
-    missing = [_term_json(t, d) for t in coverage.missing]
-    lines.append(f"missing: {len(missing)}")
-    result = {
-        "complete": coverage.complete,
-        "entries": entries,
+            for entry in coverage.entries
+        ],
         "missing": missing,
         "missing_count": len(missing),
     }
-    _emit(args, "coverage", descriptor, result, lines, report.warnings)
-    return 4 if args.strict and not coverage.complete else 0
 
 
-def _cmd_check_rconnect(args) -> int:
-    d, descriptor = _load_diagram(args)
-    d, report = _validated(d)
+def _coverage_text(r: dict) -> list[str]:
+    lines = [f"coverage: {'complete' if r['complete'] else 'incomplete'}"]
+    for entry in r["entries"]:
+        required, matched = entry["required"], entry["matched"]
+        if matched is None:
+            lines.append(f"  [MISSING] {required['structure']} ({required['origin']})")
+        else:
+            lines.append(f"  [ok] {required['structure']} <- {matched['origin']}")
+    lines.append(f"missing: {r['missing_count']}")
+    return lines
+
+
+def _rconnect_result(args, d: KrajewskiDiagram, report) -> dict:
     rc = check_r_connected(d, args.dim, strict_bounds=args.strict_bounds)
-    cond1 = []
-    cond2 = []
-    lines = [
-        f"R-connected in dimension {rc.dimension}: {'true' if rc.verdict else 'false'}"
-    ]
-    lines.append(f"condition 1 (single cycles): {len(rc.cond1)} checked")
-    for entry in rc.cond1:
-        disp = cycle_display(entry.cycle, d.algebra)
-        cond1.append(
+    return {
+        "verdict": rc.verdict,
+        "dimension": rc.dimension,
+        "strict_bounds": rc.strict_bounds,
+        "cond1": [
             {
                 "cycle": _cycle_json(entry.cycle, d),
                 "lifted": entry.ok,
                 "witness": _witness_json(entry.witness, d),
             }
-        )
-        if entry.ok:
-            lines.append(f"  [ok] {disp} lifted by {_witness_display(entry.witness, d)}")
+            for entry in rc.cond1
+        ],
+        "cond2": [
+            {
+                "pair": [_cycle_json(c, d) for c in entry.pair],
+                "status": entry.status,
+                "exemption": {
+                    "clause": entry.exemption.clause,
+                    "vertex": entry.exemption.vertex.display(d.algebra),
+                }
+                if entry.exemption.exempt
+                else None,
+                "witness": _witness_json(entry.witness, d),
+            }
+            for entry in rc.cond2
+        ],
+        "cond3": [[_cycle_json(c, d) for c in combo] for combo in rc.cond3],
+    }
+
+
+def _rconnect_text(r: dict) -> list[str]:
+    lines = [
+        f"R-connected in dimension {r['dimension']}: {_flag(r['verdict'])}",
+        f"condition 1 (single cycles): {len(r['cond1'])} checked",
+    ]
+    for entry in r["cond1"]:
+        disp = entry["cycle"]["display"]
+        if entry["lifted"]:
+            lines.append(f"  [ok] {disp} lifted by {entry['witness']['display']}")
         else:
             lines.append(f"  [MISSING] {disp} has no lift")
-    lines.append(f"condition 2 (cycle pairs): {len(rc.cond2)} checked")
-    for entry in rc.cond2:
-        c1, c2 = entry.pair
-        disp = f"{cycle_display(c1, d.algebra)} + {cycle_display(c2, d.algebra)}"
-        record = {
-            "pair": [_cycle_json(c1, d), _cycle_json(c2, d)],
-            "status": entry.status,
-            "exemption": None,
-            "witness": _witness_json(entry.witness, d),
-        }
-        if entry.exemption.exempt:
-            record["exemption"] = {
-                "clause": entry.exemption.clause,
-                "vertex": entry.exemption.vertex.display(d.algebra),
-            }
-            lines.append(
-                f"  [exempt] {disp}: {entry.exemption.clause} at "
-                f"{record['exemption']['vertex']}"
-            )
-        elif entry.witness is not None:
-            lines.append(f"  [ok] {disp} lifted by {_witness_display(entry.witness, d)}")
+    lines.append(f"condition 2 (cycle pairs): {len(r['cond2'])} checked")
+    for entry in r["cond2"]:
+        disp = " + ".join(c["display"] for c in entry["pair"])
+        exemption, witness = entry["exemption"], entry["witness"]
+        if exemption is not None:
+            lines.append(f"  [exempt] {disp}: {exemption['clause']} at {exemption['vertex']}")
+        elif witness is not None:
+            lines.append(f"  [ok] {disp} lifted by {witness['display']}")
         else:
             lines.append(f"  [MISSING] {disp} has no common lift")
-        cond2.append(record)
-    cond3 = [[_cycle_json(c, d) for c in combo] for combo in rc.cond3]
-    lines.append(
-        f"condition 3 (tuples of 3+): "
-        f"{'none offending' if not rc.cond3 else f'{len(rc.cond3)} offending'}"
-    )
-    result = {
-        "verdict": rc.verdict,
-        "dimension": rc.dimension,
-        "strict_bounds": rc.strict_bounds,
-        "cond1": cond1,
-        "cond2": cond2,
-        "cond3": cond3,
-    }
-    _emit(args, "check-rconnect", descriptor, result, lines, report.warnings)
-    return 4 if args.strict and not rc.verdict else 0
+    offending = f"{len(r['cond3'])} offending" if r["cond3"] else "none offending"
+    lines.append(f"condition 3 (tuples of 3+): {offending}")
+    return lines
+
+
+_PROFILE_FIELDS = frozenset("L I_A I_chi I_ghost V_ghostA V_ghostChi E_A E_chi E_ghost".split())
+
+
+def _profile_int(value, what: str) -> int:
+    # bool is an int subclass, and int() would truncate a float or parse a string
+    if type(value) is not int:
+        raise _CliError(64, f"kra: error: profile {what} is not an integer: {json.dumps(value)}")
+    return value
 
 
 def _parse_profile(text: str) -> GraphProfile:
@@ -457,18 +338,20 @@ def _parse_profile(text: str) -> GraphProfile:
         raise _CliError(64, f"kra: error: bad profile JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise _CliError(64, "kra: error: profile must be a JSON object")
+    valences = raw.get("V") or {}
+    if not isinstance(valences, dict):
+        raise _CliError(64, "kra: error: profile field V must be an object of 'i,j': count")
     vertices: dict[tuple[int, int], int] = {}
-    for key, count in (raw.get("V") or {}).items():
+    for key, count in valences.items():
         try:
-            i, j = (int(part) for part in str(key).split(","))
-            vertices[(i, j)] = int(count)
+            i, j = (int(part) for part in key.split(","))
         except ValueError:
             raise _CliError(
                 64, f"kra: error: bad vertex valence key {key!r} (want 'i,j')"
             ) from None
-    known = {"L", "I_A", "I_chi", "I_ghost", "V_ghostA", "V_ghostChi", "E_A", "E_chi", "E_ghost"}
-    fields = {k: int(v) for k, v in raw.items() if k in known}
-    unknown = set(raw) - known - {"V"}
+        vertices[(i, j)] = _profile_int(count, f"vertex count V[{key!r}]")
+    fields = {k: _profile_int(v, f"field {k}") for k, v in raw.items() if k in _PROFILE_FIELDS}
+    unknown = set(raw) - _PROFILE_FIELDS - {"V"}
     if unknown:
         raise _CliError(64, f"kra: error: unknown profile fields: {sorted(unknown)}")
     if "L" not in fields:
@@ -479,64 +362,57 @@ def _parse_profile(text: str) -> GraphProfile:
         raise _CliError(64, f"kra: error: {exc}") from None
 
 
-def _cmd_powercount(args) -> int:
+def _powercount_result(args, d, report) -> dict:
     n = args.n
-    degrees = propagator_uv_degrees(n)
-    coefficients = [heat_kernel_coefficients(k) for k in range(0, 3)]
     result = {
         "order": n,
-        "propagator_degrees": degrees,
+        "propagator_degrees": propagator_uv_degrees(n),
         "heat_kernel": [
-            {
-                "k": c.k,
-                "c": str(c.c),
-                "c_prime": str(c.c_prime),
-                "prefactor": c.prefactor,
-            }
-            for c in coefficients
+            {"k": c.k, "c": str(c.c), "c_prime": str(c.c_prime), "prefactor": c.prefactor}
+            for c in (heat_kernel_coefficients(k) for k in range(0, 3))
         ],
         "profile": None,
     }
+    if args.profile:
+        profile = _parse_profile(args.profile)
+        check = validate_profile(profile)
+        result["profile"] = {
+            "checks": [
+                {"name": c.name, "ok": c.ok, "lhs": c.lhs, "rhs": c.rhs} for c in check.checks
+            ],
+            "consistent": check.ok,
+            "omega_bound": omega_bound(profile, n) if check.ok else None,
+            "omega_external": omega_external(
+                profile.L, profile.E_A, profile.E_chi, profile.E_ghost, n
+            ),
+        }
+    return result
+
+
+def _powercount_text(r: dict) -> list[str]:
+    degrees = r["propagator_degrees"]
     lines = [
-        f"expansion order: n = {n}",
+        f"expansion order: n = {r['order']}",
         f"propagator UV degrees: gauge {degrees['gauge']}, "
         f"higgs {degrees['higgs']}, ghost {degrees['ghost']}",
         "heat-kernel coefficients (rational part x 1/(8*pi^2)):",
     ]
-    for c in coefficients:
-        lines.append(f"  k={c.k}: c={c.c}, c'={c.c_prime}")
-    ok = True
-    if args.profile:
-        profile = _parse_profile(args.profile)
-        check = validate_profile(profile)
-        ok = check.ok
-        bound = omega_bound(profile, n) if check.ok else None
-        external = omega_external(profile.L, profile.E_A, profile.E_chi, profile.E_ghost, n)
-        result["profile"] = {
-            "checks": [
-                {"name": c.name, "ok": c.ok, "lhs": c.lhs, "rhs": c.rhs}
-                for c in check.checks
-            ],
-            "consistent": check.ok,
-            "omega_bound": bound,
-            "omega_external": external,
-        }
-        lines.append(f"profile consistent: {'true' if check.ok else 'false'}")
-        for c in check.checks:
-            mark = "ok" if c.ok else "FAIL"
-            lines.append(f"  [{mark}] {c.name}: {c.lhs} == {c.rhs}")
-        if bound is not None:
-            lines.append(f"omega bound (profile form): {bound}")
-        lines.append(f"omega bound (external form): {external}")
-    _emit(args, "powercount", {"kind": "none"}, result, lines, ())
-    return 4 if args.strict and not ok else 0
+    lines += [f"  k={c['k']}: c={c['c']}, c'={c['c_prime']}" for c in r["heat_kernel"]]
+    profile = r["profile"]
+    if profile is not None:
+        lines.append(f"profile consistent: {_flag(profile['consistent'])}")
+        for c in profile["checks"]:
+            mark = "ok" if c["ok"] else "FAIL"
+            lines.append(f"  [{mark}] {c['name']}: {c['lhs']} == {c['rhs']}")
+        if profile["omega_bound"] is not None:
+            lines.append(f"omega bound (profile form): {profile['omega_bound']}")
+        lines.append(f"omega bound (external form): {profile['omega_external']}")
+    return lines
 
 
-def _cmd_verdict(args) -> int:
-    d, descriptor = _load_diagram(args)
-    d, report = _validated(d)
+def _verdict_result(args, d: KrajewskiDiagram, report) -> dict:
     verdict = renorm_verdict(d, args.n)
-    result = {
+    return {
         "verdict": verdict.verdict,
         "headline": verdict.headline,
         "order": verdict.order,
@@ -546,55 +422,177 @@ def _cmd_verdict(args) -> int:
         "irrep_detail": verdict.irrep_detail,
         "r_connected": verdict.rconnect.verdict,
     }
-    lines = [
-        f"verdict: {verdict.headline}",
-        f"order: n = {verdict.order}",
-        f"R-connected (dimension 4): {'true' if verdict.rconnect.verdict else 'false'}",
-        f"irrep correspondence: {'ok' if verdict.irrep_ok else 'FAIL'}"
-        f" ({verdict.irrep_detail})",
-    ]
-    for note in verdict.notes:
-        lines.append(f"note: {note}")
-    _emit(args, "verdict", descriptor, result, lines, report.warnings)
-    return 4 if args.strict and verdict.verdict == "Inconclusive" else 0
 
 
-def _cmd_builtins(args) -> int:
-    entries = [
-        {"name": name, "summary": summary}
-        for name, summary in sorted(BUILTIN_SUMMARIES.items())
-    ]
-    lines = [f"{e['name']}: {e['summary']}" for e in entries]
-    _emit(args, "builtins", {"kind": "none"}, {"builtins": entries}, lines, ())
-    return 0
+def _verdict_text(r: dict) -> list[str]:
+    return [
+        f"verdict: {r['headline']}",
+        f"order: n = {r['order']}",
+        f"R-connected (dimension 4): {_flag(r['r_connected'])}",
+        f"irrep correspondence: {'ok' if r['irrep_ok'] else 'FAIL'} ({r['irrep_detail']})",
+    ] + [f"note: {note}" for note in r["notes"]]
 
 
-def _cmd_fmt(args) -> int:
-    d, descriptor = _load_diagram(args)
-    d, report = _validated(d)
-    text = serialize(d)
-    if args.json:
-        _emit(args, "fmt", descriptor, {"text": text}, [], report.warnings)
-    else:
-        sys.stdout.write(text)
-    return 0
+# ---------------------------------------------------------------------------
+# The subcommand table and the one run path
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "gauge-algebra": _cmd_gauge_algebra,
-    "fields": _cmd_fields,
-    "action-terms": lambda args: _terms_command(args, "action-terms", action_terms),
-    "counterterms": lambda args: _terms_command(
-        args, "counterterms", required_counterterms
+class _Command(NamedTuple):
+    help: str
+    #: "none": no diagram; "report": validate and report an invalid one (exit
+    #: 3); "refuse": refuse an invalid diagram with exit 3 before building
+    input: str
+    #: (args, diagram, validation report) -> the JSON result
+    build: Callable[..., dict]
+    #: result -> text lines; None prints result["text"] as it is, without
+    #: warnings (the text is a .kra file)
+    render: Callable[[dict], list[str]] | None
+    #: result -> True when --strict turns the run into exit 4
+    failed: Callable[[dict], bool] | None = None
+    #: extra argparse options: (flags, keyword arguments)
+    options: tuple = ()
+
+
+_ORDER_OPTION = (
+    ("-n",), {"type": _order_arg, "default": 4, "help": "expansion order (default 4)"}
+)
+
+_COMMANDS: dict[str, _Command] = {
+    "validate": _Command("check the diagram axioms", "report", _validate_result, _validate_text),
+    "gauge-algebra": _Command(
+        "gauge Lie algebra, dimension, unimodularity",
+        "refuse", _gauge_algebra_result, _gauge_algebra_text,
     ),
-    "coverage": _cmd_coverage,
-    "check-rconnect": _cmd_check_rconnect,
-    "powercount": _cmd_powercount,
-    "verdict": _cmd_verdict,
-    "builtins": _cmd_builtins,
-    "fmt": _cmd_fmt,
+    "fields": _Command(
+        "independent scalar field components", "refuse", _fields_result, _fields_text
+    ),
+    "action-terms": _Command(
+        "trace terms generated by the expanded action", "refuse",
+        lambda args, d, report: _terms_result(action_terms(d), d),
+        partial(_terms_text, "action terms"),
+    ),
+    "counterterms": _Command(
+        "gauge-invariant counterterms the field content demands", "refuse",
+        lambda args, d, report: _terms_result(required_counterterms(d), d),
+        partial(_terms_text, "counterterms"),
+    ),
+    "coverage": _Command(
+        "match required counterterms against generated terms", "refuse",
+        _coverage_result, _coverage_text, lambda r: not r["complete"],
+    ),
+    "check-rconnect": _Command(
+        "decide R-connectedness in dimension m", "refuse",
+        _rconnect_result, _rconnect_text, lambda r: not r["verdict"],
+        options=(
+            (("--dim",), {"type": _dim_arg, "default": 4, "help": "dimension m (default 4)"}),
+            (("--strict-bounds",), {
+                "action": "store_true",
+                "help": 'use the strict "< m" length bound instead of the inclusive one',
+            }),
+        ),
+    ),
+    "powercount": _Command(
+        "propagator degrees, heat-kernel coefficients, profiles", "none",
+        _powercount_result, _powercount_text,
+        lambda r: r["profile"] is not None and not r["profile"]["consistent"],
+        options=(
+            _ORDER_OPTION,
+            (("--profile",), {
+                "help": "JSON graph profile to check and bound "
+                '(e.g. \'{"L":1,"I_A":2,"V":{"3,0":2},"E_A":2}\')',
+            }),
+        ),
+    ),
+    "verdict": _Command(
+        "renormalizability verdict for the expanded action", "refuse",
+        _verdict_result, _verdict_text, lambda r: r["verdict"] == "Inconclusive",
+        options=(_ORDER_OPTION,),
+    ),
+    "builtins": _Command(
+        "list builtin diagrams", "none",
+        lambda args, d, report: {
+            "builtins": [
+                {"name": name, "summary": summary}
+                for name, summary in sorted(BUILTIN_SUMMARIES.items())
+            ]
+        },
+        lambda r: [f"{e['name']}: {e['summary']}" for e in r["builtins"]],
+    ),
+    "fmt": _Command(
+        "canonical serialization of a diagram", "refuse",
+        lambda args, d, report: {"text": serialize(d)}, None,
+    ),
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="kra", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"kra {__version__}")
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument(
+            "--strict", action="store_true", help="exit 4 when the command's verdict is negative"
+        )
+        if command.input != "none":
+            p.add_argument("--builtin", help="builtin diagram name (e.g. sm, chain, ym:3)")
+            p.add_argument("--file", help="path to a .kra file")
+            p.add_argument("path", nargs="?", help="path to a .kra file")
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _load_diagram(args) -> tuple[KrajewskiDiagram, dict]:
+    sources = [s for s in (args.builtin, args.file, args.path) if s]
+    if len(sources) != 1:
+        raise _CliError(64, "kra: error: provide exactly one of --builtin, --file, or a file path")
+    if args.builtin:
+        try:
+            return builtin(args.builtin), {"kind": "builtin", "name": args.builtin}
+        except (KeyError, ValueError) as exc:
+            raise _CliError(64, f"kra: error: {exc}") from None
+    path = args.file or args.path
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _CliError(2, f"kra: cannot read {path}: {reason}") from None
+    try:
+        return parse(text), {"kind": "file", "path": path}
+    except ParseError as exc:
+        raise _CliError(2, f"{path}:{exc}") from None
+
+
+def _run(name: str, args) -> int:
+    command = _COMMANDS[name]
+    d, report, descriptor, code = None, None, {"kind": "none"}, 0
+    if command.input != "none":
+        d, descriptor = _load_diagram(args)
+        report = validate(d)
+        if report.ok:
+            d = report.diagram or d
+        elif command.input == "refuse":
+            raise _CliError(3, "validation failed\n" + "\n".join(
+                f"  {entry.check}: {'; '.join(entry.details) or 'failed'}"
+                for entry in report.failures()
+            ))
+        else:
+            code = 3
+    result = command.build(args, d, report)
+    warnings = list(report.warnings) if report is not None else []
+    if args.json:
+        envelope = {"command": name, "input": descriptor, "result": result,
+                    "warnings": warnings, "version": __version__}
+        print(json.dumps(envelope, sort_keys=True, ensure_ascii=False, indent=2))
+    elif command.render is None:
+        sys.stdout.write(result["text"])
+    else:
+        for line in command.render(result) + [f"warning: {w}" for w in warnings]:
+            print(line)
+    strict_fail = args.strict and command.failed is not None and command.failed(result)
+    return 4 if code == 0 and strict_fail else code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -603,10 +601,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         if not args.command:
             parser.error("a subcommand is required")
-        return _HANDLERS[args.command](args)
+        return _run(args.command, args)
     except _CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
     except SystemExit as exc:  # argparse --help/--version
         return 0 if exc.code in (None, 0) else int(exc.code)
 

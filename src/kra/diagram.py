@@ -28,7 +28,6 @@ __all__ = [
     "DiagramVertex",
     "SymbolicOperator",
     "NumericOperator",
-    "OperatorSpec",
     "EdgePair",
     "KrajewskiDiagram",
     "DiagramIndex",

@@ -128,21 +128,25 @@ def enumerate_cycles(g: ProjectedGraph, max_len: int) -> tuple[Cycle, ...]:
     found: set[Cycle] = set()
     for a, b in g.non_loop_edges:
         found.add(canonical_cycle((a, b)))
-
-    def extend(path: list[RepLabel]) -> None:
-        current = path[-1]
-        for nxt in g.neighbors(current):
-            if nxt == path[0] and len(path) >= 3:
-                found.add(canonical_cycle(tuple(path)))
-            if nxt not in path and len(path) < max_len:
-                path.append(nxt)
-                extend(path)
-                path.pop()
-
     if max_len >= 3:
         for start in g.vertices:
-            extend([start])
+            _extend_cycles(g, [start], max_len, found)
     return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
+def _extend_cycles(g: ProjectedGraph, path: list[RepLabel], max_len: int,
+                   found: set[Cycle]) -> None:
+    """Add to ``found`` every cycle of 3..max_len vertices through ``path``.
+
+    Module-level, as ``_pair_walk``, so that no recursive closure keeps Γ̃
+    alive past the call."""
+    for nxt in g.neighbors(path[-1]):
+        if nxt == path[0] and len(path) >= 3:
+            found.add(canonical_cycle(tuple(path)))
+        if nxt not in path and len(path) < max_len:
+            path.append(nxt)
+            _extend_cycles(g, path, max_len, found)
+            path.pop()
 
 
 def diagram_cycles(d: KrajewskiDiagram, max_len: int) -> tuple[Cycle, ...]:

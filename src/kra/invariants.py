@@ -48,11 +48,9 @@ from .rconnect import QUATERNION_CONJUGATE_PAIR, exemption_check, shared_trivial
 __all__ = [
     "TermKind",
     "TraceSlot",
-    "Block",
     "FieldComponent",
     "FieldInventory",
     "InvariantTerm",
-    "CoverageEntry",
     "CoverageReport",
     "enumerate_fields",
     "basis_dimension",
@@ -62,7 +60,6 @@ __all__ = [
     "canonical_block",
     "canonical_key",
     "collapse_blocks",
-    "block_vertex_sequence",
     "cycle_display",
     "structure_display",
 ]
@@ -150,12 +147,12 @@ def _built_key(term: InvariantTerm):
     return (term.kind.value, tuple(sorted(term.blocks)))
 
 
-def block_vertex_sequence(block: Block) -> tuple[RepLabel, ...]:
+def _block_vertex_sequence(block: Block) -> tuple[RepLabel, ...]:
     return tuple(slot.source for slot in block)
 
 
 def _rotate_to(block: Block, v: RepLabel) -> Block:
-    i = block_vertex_sequence(block).index(v)
+    i = _block_vertex_sequence(block).index(v)
     return block[i:] + block[:i]
 
 
@@ -167,7 +164,7 @@ def collapse_blocks(b1: Block, b2: Block, algebra: FiniteAlgebra) -> Block | Non
     trace: rotate both to start there and concatenate.  Returns None when no
     shared trivial vertex exists.
     """
-    v = shared_trivial_vertex(block_vertex_sequence(b1), block_vertex_sequence(b2), algebra)
+    v = shared_trivial_vertex(_block_vertex_sequence(b1), _block_vertex_sequence(b2), algebra)
     if v is None:
         return None
     return canonical_block(_rotate_to(b1, v) + _rotate_to(b2, v))
@@ -293,33 +290,37 @@ def _closed_field_walks(d: KrajewskiDiagram, n_h: int, n_v: int):
     closing step back at the start; deterministic order.
     """
     steps = d.index.steps
-    total = n_h + n_v
-    results = []
-
-    def extend(start: str, path: list[str], edges: list[str],
-               parts: list[DiracPart], h: int, v: int) -> None:
-        if len(edges) == total:
-            if path[-1] == start:
-                results.append((tuple(path[:-1]), tuple(edges), tuple(parts)))
-            return
-        for eid, nxt, part in steps[path[-1]]:
-            if part is DiracPart.DELTA and h < n_h:
-                dh, dv = 1, 0
-            elif part is DiracPart.J_DELTA_J and v < n_v:
-                dh, dv = 0, 1
-            else:
-                continue
-            path.append(nxt)
-            edges.append(eid)
-            parts.append(part)
-            extend(start, path, edges, parts, h + dh, v + dv)
-            path.pop()
-            edges.pop()
-            parts.pop()
-
+    results: list = []
     for start in sorted(steps):
-        extend(start, [start], [], [], 0, 0)
+        _extend_walks(steps, [start], [], [], n_h, n_v, results)
     return results
+
+
+def _extend_walks(steps, path: list[str], edges: list[str], parts: list[DiracPart],
+                  h_left: int, v_left: int, results: list) -> None:
+    """Append to ``results`` every closed walk that extends ``path`` by
+    h_left horizontal and v_left vertical steps.
+
+    Module-level, as ``graphs._pair_walk``, so that no recursive closure
+    keeps the index's ``steps`` table alive past the call."""
+    if not h_left and not v_left:
+        if path[-1] == path[0]:
+            results.append((tuple(path[:-1]), tuple(edges), tuple(parts)))
+        return
+    for eid, nxt, part in steps[path[-1]]:
+        if part is DiracPart.DELTA and h_left:
+            dh, dv = 1, 0
+        elif part is DiracPart.J_DELTA_J and v_left:
+            dh, dv = 0, 1
+        else:
+            continue
+        path.append(nxt)
+        edges.append(eid)
+        parts.append(part)
+        _extend_walks(steps, path, edges, parts, h_left - dh, v_left - dv, results)
+        path.pop()
+        edges.pop()
+        parts.pop()
 
 
 def _quartic_coefficient(edge_ids: tuple[str, ...]) -> tuple[str, tuple[tuple[str, str], ...]]:

@@ -29,8 +29,6 @@ from .rconnect import RConnectReport, check_r_connected
 __all__ = [
     "GraphProfile",
     "ExpansionOrder",
-    "ProfileCheck",
-    "ProfileReport",
     "HeatKernelCoefficients",
     "Verdict",
     "expansion_order",
@@ -40,6 +38,11 @@ __all__ = [
     "heat_kernel_coefficients",
     "propagator_uv_degrees",
     "renorm_verdict",
+    "NON_MULTIPLICATIVE_NOTE",
+    "ORDER_FOUR_NOTE",
+    "ORDER_EIGHT_VACUUM_NOTE",
+    "IRREP_HYPOTHESIS",
+    "RCONNECT_HYPOTHESIS",
 ]
 
 

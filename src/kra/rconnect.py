@@ -41,11 +41,11 @@ from .graphs import (
 
 __all__ = [
     "Exemption",
-    "CycleLift",
-    "PairLift",
     "RConnectReport",
     "exemption_check",
     "check_r_connected",
+    "SHARED_TRIVIAL_VERTEX",
+    "QUATERNION_CONJUGATE_PAIR",
 ]
 
 SHARED_TRIVIAL_VERTEX = "shared-trivial-vertex"

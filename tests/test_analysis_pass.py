@@ -10,14 +10,25 @@ so each stage body runs once however many public calls ask for it.
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import sys
+import types
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from kra import builtin, check_r_connected, graphs, invariants, rconnect
+from kra import (
+    builtin,
+    check_r_connected,
+    diagram_cycles,
+    graphs,
+    invariants,
+    project,
+    rconnect,
+)
 
 from conftest import must_validate, path_diagram
 
@@ -76,3 +87,45 @@ def test_each_stage_runs_once_per_analysis(build, monkeypatch):
         "_check_r_connected": 1,
         "lift_pair": one_check,
     }
+
+
+def test_projection_dies_with_its_diagram():
+    """Enumerating cycles leaves no reference cycle that holds Γ̃ alive."""
+    d = path_diagram(20)
+    gc.collect()
+    gc.disable()
+    try:
+        diagram_cycles(d, 4)
+        alive = weakref.ref(project(d))
+        del d
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: builtin("sm"), lambda: path_diagram(10)], ids=["sm", "path10"]
+)
+def test_full_analysis_leaves_no_kra_function_in_garbage(build, monkeypatch):
+    """No kra function is part of a reference cycle once an analysis ends:
+    a recursive closure would be one, and would keep what it captured."""
+    analyse = _analyse(monkeypatch)
+    d = must_validate(build())
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        analyse(d)
+        del d
+        gc.collect()
+        leaked = [
+            obj.__qualname__
+            for obj in gc.garbage
+            if isinstance(obj, types.FunctionType)
+            and (obj.__module__ or "").startswith("kra")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []

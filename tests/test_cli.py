@@ -59,6 +59,15 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("kra: cannot read /no/such/file.kra")
 
+    def test_non_utf8_file_is_a_read_error(self, tmp_path):
+        latin = tmp_path / "latin1.kra"
+        latin.write_bytes("# caf\u00e9\nfactor c2 C 2\n".encode("latin-1"))
+        code, out, err = run("validate", str(latin))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"kra: cannot read {latin}: ")
+        assert err.count("\n") == 1
+
     def test_parse_error_carries_position(self, tmp_path):
         bad = tmp_path / "bad.kra"
         bad.write_text("factor c2 C 2\nbogus line\n")
@@ -117,12 +126,23 @@ class TestExitCodes:
             ["powercount", "--profile", '{"L": 1, "bogus": 2}'],
             ["powercount", "--profile", '{"I_A": 2}'],
             ["powercount", "--profile", '{"L": 0, "V": {"x": 1}}'],
+            ["powercount", "--profile", '{"L":"x"}'],
+            ["powercount", "--profile", '{"L":null}'],
+            ["powercount", "--profile", '{"L":1,"V":[1]}'],
+            ["powercount", "--profile", '{"L":1,"V":{"3,0":null}}'],
+            ["powercount", "--profile", '{"L":1.5}'],
+            ["powercount", "--profile", '{"L":true}'],
+            ["powercount", "--profile", "true"],
             ["check-rconnect", "--builtin", "sm", "--dim", "-1"],
             ["no-such-command"],
         )
         for argv in cases:
-            code, _out, _err = run(*argv)
+            code, out, err = run(*argv)
             assert code == 64, argv
+            assert out == "", argv
+            # one line, from kra's own parser or from argparse ("kra <cmd>: error:")
+            assert err.startswith("kra") and ": error: " in err, (argv, err)
+            assert err.count("\n") == 1, (argv, err)
 
     def test_version_and_help(self):
         code, out, _ = run("--version")

@@ -1,0 +1,33 @@
+"""``kra.__all__`` is read from the submodules' ``__all__``."""
+
+from __future__ import annotations
+
+import importlib
+
+import kra
+
+SUBMODULES = (
+    "algebra", "builtins", "diagram", "dsl", "exactlin",
+    "graphs", "invariants", "powercount", "rconnect",
+)
+
+
+def test_all_is_the_union_of_the_submodules():
+    modules = [importlib.import_module(f"kra.{name}") for name in SUBMODULES]
+    union = [name for module in modules for name in module.__all__]
+    assert len(set(union)) == len(union), "a name is exported by two submodules"
+    assert len(set(kra.__all__)) == len(kra.__all__), "a name is listed twice"
+    assert sorted(kra.__all__) == sorted(["__version__", *union])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(kra, name) is getattr(module, name), name
+
+
+def test_long_standing_names_are_still_exported():
+    for name in (
+        "FieldComponent", "ORDER_EIGHT_VACUUM_NOTE", "NON_MULTIPLICATIVE_NOTE",
+        "ORDER_FOUR_NOTE", "IRREP_HYPOTHESIS", "RCONNECT_HYPOTHESIS",
+        "QUATERNION_CONJUGATE_PAIR", "SHARED_TRIVIAL_VERTEX", "diagram_cycles",
+    ):
+        assert name in kra.__all__, name
+    assert "builtin_names" not in kra.__all__
