@@ -444,8 +444,8 @@ class _Command(NamedTuple):
     input: str
     #: (args, diagram, validation report) -> the JSON result
     build: Callable[..., dict]
-    #: result -> text lines; None prints result["text"] as it is, without
-    #: warnings (the text is a .kra file)
+    #: result -> text lines; None prints result["text"] as it is and the
+    #: warnings on stderr, so that stdout stays a .kra file
     render: Callable[[dict], list[str]] | None
     #: result -> True when --strict turns the run into exit 4
     failed: Callable[[dict], bool] | None = None
@@ -588,6 +588,8 @@ def _run(name: str, args) -> int:
         print(json.dumps(envelope, sort_keys=True, ensure_ascii=False, indent=2))
     elif command.render is None:
         sys.stdout.write(result["text"])
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
     else:
         for line in command.render(result) + [f"warning: {w}" for w in warnings]:
             print(line)

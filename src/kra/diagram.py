@@ -154,16 +154,6 @@ class KrajewskiDiagram:
     def vertex(self, vid: str) -> DiagramVertex:
         return self.index.vertices[vid]
 
-    def jdict(self) -> dict[str, str]:
-        """The involution as a dict; requires a stored (resolved) jmap."""
-        if self.jmap is None:
-            raise ValueError("jmap not resolved; validate the diagram first")
-        out: dict[str, str] = {}
-        for a, b in self.jmap:
-            out[a] = b
-            out[b] = a
-        return out
-
     @property
     def signs(self) -> KOSigns:
         return ko_signs(self.kodim)

@@ -33,12 +33,12 @@ __all__ = [
     "proj_edge",
     "project",
     "canonical_cycle",
-    "cyclic_equal",
     "enumerate_cycles",
     "diagram_cycles",
     "cycle_pairs",
     "lift_cycle",
     "lift_pair",
+    "closed_walks",
 ]
 
 Cycle = tuple[RepLabel, ...]
@@ -107,15 +107,6 @@ def canonical_cycle(seq: Cycle) -> Cycle:
     return best
 
 
-def cyclic_equal(a: tuple, b: tuple) -> bool:
-    """Equality of cyclic sequences up to rotation only (orientation kept)."""
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    return any(b[r:] + b[:r] == tuple(a) for r in range(len(b)))
-
-
 def enumerate_cycles(g: ProjectedGraph, max_len: int) -> tuple[Cycle, ...]:
     """All cycles of length 2..max_len, one canonical representative each.
 
@@ -138,7 +129,7 @@ def _extend_cycles(g: ProjectedGraph, path: list[RepLabel], max_len: int,
                    found: set[Cycle]) -> None:
     """Add to ``found`` every cycle of 3..max_len vertices through ``path``.
 
-    Module-level, as ``_pair_walk``, so that no recursive closure keeps Γ̃
+    Module-level, as ``_extend_walks``, so that no recursive closure keeps Γ̃
     alive past the call."""
     for nxt in g.neighbors(path[-1]):
         if nxt == path[0] and len(path) >= 3:
@@ -245,42 +236,60 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     row trace must reproduce g2 in either orientation.
     """
     index = d.index
-    n1, n2 = len(g1), len(g2)
     for b_seq in (tuple(g2), tuple(reversed(g2))):
-        for r1 in range(n1):
+        for r1 in range(len(g1)):
             a_rot = tuple(g1[r1:]) + tuple(g1[:r1])
-            for r2 in range(n2):
+            for r2 in range(len(g2)):
                 b_rot = b_seq[r2:] + b_seq[:r2]
                 for start in index.cells.get((a_rot[0], b_rot[0]), ()):
-                    hit = _pair_walk(index, a_rot, b_rot, [start], [], 0, 0)
-                    if hit is not None:
-                        return hit
+                    for vertices, edges, _parts in closed_walks(index, start, a_rot, b_rot):
+                        return LiftWitness(vertices, edges)
     return None
 
 
-def _pair_walk(index: DiagramIndex, a: Cycle, b: Cycle, path: list[str],
-               edges: list[str], i1: int, i2: int) -> LiftWitness | None:
-    """Extend ``path`` by steps matching a and b from positions i1 and i2.
+def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple,
+                 floor: str | None = None):
+    """Closed walks from ``start`` with len(cols) horizontal and len(rows)
+    vertical steps, in the order of ``index.steps``; vertices may repeat.
+
+    Horizontal step i must enter column cols[(i + 1) % len(cols)] and
+    vertical step i row rows[(i + 1) % len(rows)]; a None label matches any.
+    With a ``floor``, the walk never enters a vertex id below it.  Yields
+    (vertex ids, edge ids, parts), where step i runs from vertex i to
+    vertex i + 1, cyclically.
+    """
+    yield from _extend_walks(index, cols, rows, floor, [start], [], [], 0, 0)
+
+
+def _extend_walks(index: DiagramIndex, cols: tuple, rows: tuple, floor: str | None,
+                  path: list[str], edges: list[str], parts: list[DiracPart],
+                  i: int, j: int):
+    """The closed walks of ``closed_walks`` that extend ``path``, which has
+    taken i horizontal and j vertical steps.
 
     A module-level function, not a closure: a recursive closure is a
     reference cycle, which would keep the index, and every analysis result
     it stores, alive until the cyclic garbage collector runs."""
-    n1, n2 = len(a), len(b)
-    if i1 == n1 and i2 == n2:
-        return LiftWitness(tuple(path[:-1]), tuple(edges)) if path[-1] == path[0] else None
+    n, m = len(cols), len(rows)
+    if i == n and j == m:
+        if path[-1] == path[0]:
+            yield tuple(path[:-1]), tuple(edges), tuple(parts)
+        return
     for eid, nxt, part in index.steps[path[-1]]:
-        target = index.vertices[nxt]
-        if part is DiracPart.DELTA and i1 < n1 and target.col == a[(i1 + 1) % n1]:
-            di1, di2 = 1, 0
-        elif part is DiracPart.J_DELTA_J and i2 < n2 and target.row == b[(i2 + 1) % n2]:
-            di1, di2 = 0, 1
+        if floor is not None and nxt < floor:
+            continue
+        if part is DiracPart.DELTA and i < n:
+            want, got, di, dj = cols[(i + 1) % n], index.vertices[nxt].col, 1, 0
+        elif part is DiracPart.J_DELTA_J and j < m:
+            want, got, di, dj = rows[(j + 1) % m], index.vertices[nxt].row, 0, 1
         else:
+            continue
+        if want is not None and want != got:
             continue
         path.append(nxt)
         edges.append(eid)
-        hit = _pair_walk(index, a, b, path, edges, i1 + di1, i2 + di2)
+        parts.append(part)
+        yield from _extend_walks(index, cols, rows, floor, path, edges, parts, i + di, j + dj)
         path.pop()
         edges.pop()
-        if hit is not None:
-            return hit
-    return None
+        parts.pop()

@@ -33,11 +33,12 @@ import enum
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
-from .diagram import DiracPart, KrajewskiDiagram, SymbolicOperator
+from .diagram import DiagramIndex, DiracPart, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
 from .graphs import (
     Cycle,
     ProjEdge,
+    closed_walks,
     cycle_pairs,
     diagram_cycles,
     proj_edge,
@@ -263,8 +264,8 @@ def enumerate_fields(d: KrajewskiDiagram) -> FieldInventory:
 # Generated action terms
 
 
-def _walk_slots(d: KrajewskiDiagram, walk_vertices: list[str], which: DiracPart,
-                parts: list[DiracPart]) -> Block:
+def _walk_slots(index: DiagramIndex, walk_vertices: tuple[str, ...], which: DiracPart,
+                parts: tuple[DiracPart, ...]) -> Block:
     """Trace slots for the steps of the given part, in walk order.
 
     Horizontal steps are read through the column projection, vertical steps
@@ -275,52 +276,12 @@ def _walk_slots(d: KrajewskiDiagram, walk_vertices: list[str], which: DiracPart,
     for i in range(n):
         if parts[i] is not which:
             continue
-        u = d.vertex(walk_vertices[i])
-        w = d.vertex(walk_vertices[(i + 1) % n])
+        u = index.vertices[walk_vertices[i]]
+        w = index.vertices[walk_vertices[(i + 1) % n]]
         a, b = (u.col, w.col) if which is DiracPart.DELTA else (u.row, w.row)
         edge = proj_edge(a, b)
         slots.append(TraceSlot(edge, a == edge[0]))
     return tuple(slots)
-
-
-def _closed_field_walks(d: KrajewskiDiagram, n_h: int, n_v: int):
-    """Closed walks with exactly n_h horizontal and n_v vertical steps.
-
-    Vertices may repeat.  Yields (vertex ids, edge ids, parts) with the
-    closing step back at the start; deterministic order.
-    """
-    steps = d.index.steps
-    results: list = []
-    for start in sorted(steps):
-        _extend_walks(steps, [start], [], [], n_h, n_v, results)
-    return results
-
-
-def _extend_walks(steps, path: list[str], edges: list[str], parts: list[DiracPart],
-                  h_left: int, v_left: int, results: list) -> None:
-    """Append to ``results`` every closed walk that extends ``path`` by
-    h_left horizontal and v_left vertical steps.
-
-    Module-level, as ``graphs._pair_walk``, so that no recursive closure
-    keeps the index's ``steps`` table alive past the call."""
-    if not h_left and not v_left:
-        if path[-1] == path[0]:
-            results.append((tuple(path[:-1]), tuple(edges), tuple(parts)))
-        return
-    for eid, nxt, part in steps[path[-1]]:
-        if part is DiracPart.DELTA and h_left:
-            dh, dv = 1, 0
-        elif part is DiracPart.J_DELTA_J and v_left:
-            dh, dv = 0, 1
-        else:
-            continue
-        path.append(nxt)
-        edges.append(eid)
-        parts.append(part)
-        _extend_walks(steps, path, edges, parts, h_left - dh, v_left - dv, results)
-        path.pop()
-        edges.pop()
-        parts.pop()
 
 
 def _quartic_coefficient(edge_ids: tuple[str, ...]) -> tuple[str, tuple[tuple[str, str], ...]]:
@@ -383,43 +344,32 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
         "back-and-forth walks over {edge}",
     )
 
+    # Walks are enumerated only from their least vertex (floor=start).  The
+    # first walk with a given term starts at the least vertex of any walk with
+    # that term, so the pruned walks are never the ones kept.
+    index = d.index
     seen: set = set()
-    for vertices, edge_ids, parts in _closed_field_walks(d, 4, 0):
-        block = _walk_slots(d, list(vertices), DiracPart.DELTA, list(parts))
-        term_blocks = (canonical_block(block),)
-        key = (TermKind.QUARTIC.value, term_blocks)
-        if key in seen:
-            continue
-        seen.add(key)
-        coeff, factors = _quartic_coefficient(edge_ids)
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.QUARTIC,
-                blocks=term_blocks,
-                coefficient=coeff,
-                origin=f"walk {_walk_display(vertices)}",
-                coefficient_factors=factors,
-            )
-        )
-
-    for vertices, edge_ids, parts in _closed_field_walks(d, 2, 2):
-        h_block = _walk_slots(d, list(vertices), DiracPart.DELTA, list(parts))
-        v_block = _walk_slots(d, list(vertices), DiracPart.J_DELTA_J, list(parts))
-        term_blocks = tuple(sorted((canonical_block(h_block), canonical_block(v_block))))
-        key = (TermKind.QUARTIC.value, term_blocks)
-        if key in seen:
-            continue
-        seen.add(key)
-        coeff, factors = _quartic_coefficient(edge_ids)
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.QUARTIC,
-                blocks=term_blocks,
-                coefficient=coeff,
-                origin=f"mixed walk {_walk_display(vertices)}",
-                coefficient_factors=factors,
-            )
-        )
+    for n_h, n_v, name in ((4, 0, "walk"), (2, 2, "mixed walk")):
+        cols, rows = (None,) * n_h, (None,) * n_v
+        for start in sorted(index.steps):
+            for vertices, edge_ids, parts in closed_walks(index, start, cols, rows, floor=start):
+                h = _walk_slots(index, vertices, DiracPart.DELTA, parts)
+                v = _walk_slots(index, vertices, DiracPart.J_DELTA_J, parts)
+                term_blocks = tuple(sorted(canonical_block(b) for b in (h, v) if b))
+                key = (TermKind.QUARTIC.value, term_blocks)
+                if key in seen:
+                    continue
+                seen.add(key)
+                coeff, factors = _quartic_coefficient(edge_ids)
+                terms.append(
+                    InvariantTerm(
+                        kind=TermKind.QUARTIC,
+                        blocks=term_blocks,
+                        coefficient=coeff,
+                        origin=f"{name} {_walk_display(vertices)}",
+                        coefficient_factors=factors,
+                    )
+                )
 
     return tuple(terms)
 

@@ -31,7 +31,6 @@ from kra import (
     builtin,
     check_r_connected,
     counterterm_coverage,
-    cyclic_equal,
     edge_part,
     parse,
     validate,
@@ -353,6 +352,15 @@ def _witness_steps(d: KrajewskiDiagram, w: LiftWitness):
             e.source == e.target == u == v
         ), f"edge {eid} does not join {u} and {v}"
         yield d.vertex(u), d.vertex(v), edge_part(d, e)
+
+
+def cyclic_equal(a: tuple, b: tuple) -> bool:
+    """Equality of cyclic sequences up to rotation only (orientation kept)."""
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    return any(b[r:] + b[:r] == tuple(a) for r in range(len(b)))
 
 
 def _reduce(seq):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from kra.algebra import RepLabel
 from kra.diagram import DiracPart, KrajewskiDiagram, edge_part
-from kra.graphs import Cycle, LiftWitness, cyclic_equal
+from kra.graphs import Cycle, LiftWitness
+
+from conftest import cyclic_equal
 
 
 def _adjacency(

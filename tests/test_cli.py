@@ -322,6 +322,16 @@ class TestFmt:
         _code, env = run_json("fmt", "--builtin", "ym:2")
         assert env["result"]["text"] == serialize(kra.builtin("ym", 2))
 
+    def test_fmt_prints_warnings_on_stderr_only(self):
+        path = str(FIXTURE_DIR / "ko_warning.kra")
+        code, out, err = run("fmt", path)
+        assert code == 0
+        _code, env = run_json("fmt", path)
+        assert out == env["result"]["text"]
+        assert out == serialize(parse(out))
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: KO-dimension 3 ")
+
 
 class TestBuiltinsListing:
     def test_lists_every_builtin_with_summary(self):

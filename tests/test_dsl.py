@@ -234,6 +234,35 @@ class TestParseErrors:
         err("factor c2 C 2\nvertex v c2 c2 +\njmap v <-> w\n")
 
 
+SM_TEXT = serialize(builtin("sm"))
+
+
+def _parses_or_points_inside(text: str) -> None:
+    """Any text parses, or fails with a ParseError whose span lies inside it."""
+    try:
+        parse(text)
+    except ParseError as e:
+        assert 1 <= e.span.line <= len(text.splitlines()) + 1, (e, text)
+        assert e.span.column >= 1, (e, text)
+
+
+class TestParserTotality:
+    @given(st.text())
+    @settings(deadline=None, max_examples=300)
+    def test_arbitrary_text(self, text):
+        _parses_or_points_inside(text)
+
+    @given(
+        st.integers(0, len(SM_TEXT)),
+        st.integers(0, len(SM_TEXT)),
+        st.text(alphabet=st.sampled_from(sorted(set(SM_TEXT)) + ["\x00", "é"]), max_size=12),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_splices_of_a_valid_file(self, i, j, inserted):
+        lo, hi = min(i, j), max(i, j)
+        _parses_or_points_inside(SM_TEXT[:lo] + inserted + SM_TEXT[hi:])
+
+
 class TestSerialization:
     def test_round_trip_preserves_structure(self):
         for make in (

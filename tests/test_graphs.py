@@ -15,7 +15,6 @@ from kra import (
     builtin,
     canonical_cycle,
     cycle_pairs,
-    cyclic_equal,
     enumerate_cycles,
     lift_cycle,
     lift_pair,
@@ -24,6 +23,7 @@ from kra import (
 from kra.graphs import proj_edge
 
 from conftest import (
+    cyclic_equal,
     must_validate,
     square_diagram,
     verify_cycle_witness,
