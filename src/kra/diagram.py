@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .algebra import FactorKind, FiniteAlgebra, RepLabel
 from .exactlin import GaussRational, Matrix
@@ -329,9 +329,17 @@ def resolve_jmap(d: KrajewskiDiagram) -> dict[str, str]:
     return mapping
 
 
-def _normalized_jmap(mapping: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
-    pairs = {tuple(sorted((a, b))) for a, b in mapping.items()}
-    return tuple(sorted((a, b) for a, b in pairs))
+def _normalized_jmap(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted({(a, b) if a <= b else (b, a) for a, b in pairs}))
+
+
+def jmap_pairs(d: KrajewskiDiagram) -> tuple[tuple[str, str], ...]:
+    """The involution as sorted (low, high) pairs: resolved when
+    ``resolve_jmap`` succeeds, otherwise the declared pairs."""
+    try:
+        return _normalized_jmap(resolve_jmap(d).items())
+    except ValueError:
+        return _normalized_jmap(d.jmap or ())
 
 
 def validate(d: KrajewskiDiagram) -> ValidationReport:
@@ -415,7 +423,7 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     ok = all(e.ok or e.severity != "error" for e in entries)
     resolved = None
     if ok and mapping is not None:
-        resolved = replace(d, jmap=_normalized_jmap(mapping))
+        resolved = replace(d, jmap=_normalized_jmap(mapping.items()))
     return ValidationReport(tuple(entries), resolved)
 
 
@@ -561,10 +569,6 @@ def structural_key(d: KrajewskiDiagram):
     The jmap is resolved first when possible so that diagrams differing only
     in explicit-versus-inferred involutions compare equal.
     """
-    try:
-        jpairs = _normalized_jmap(resolve_jmap(d))
-    except ValueError:
-        jpairs = d.jmap
     return (
         tuple((f.size, f.kind.value) for f in d.algebra.factors),
         d.kodim % 8,
@@ -582,5 +586,5 @@ def structural_key(d: KrajewskiDiagram):
                 for e in d.edges
             )
         ),
-        jpairs,
+        jmap_pairs(d),
     )

@@ -31,7 +31,7 @@ from .diagram import (
     KrajewskiDiagram,
     NumericOperator,
     SymbolicOperator,
-    resolve_jmap,
+    jmap_pairs,
 )
 from .exactlin import GaussRational
 
@@ -463,11 +463,6 @@ def serialize(d: KrajewskiDiagram) -> str:
             )
             op = f"matrix [{rows}]"
         lines.append(f"edge {e.id} {e.source} -> {e.target} {op}")
-    try:
-        mapping = resolve_jmap(d)
-        pairs = sorted({tuple(sorted((a, b))) for a, b in mapping.items()})
-    except ValueError:
-        pairs = sorted({tuple(sorted(p)) for p in d.jmap or ()})
-    for a, b in pairs:
+    for a, b in jmap_pairs(d):
         lines.append(f"jmap {a} <-> {b}")
     return "\n".join(lines) + "\n"

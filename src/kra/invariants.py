@@ -18,7 +18,8 @@ invariants per edge, single traces along strict 4-cycles, and double traces
 along pairs of 2-cycles — except that a pair sharing a trivial
 (one-dimensional complex) vertex collapses to a single trace, and a pair
 meeting only at a quaternionic vertex with conjugate far endpoints
-decomposes into already-generated invariants and is dropped.
+decomposes into already-generated invariants and is dropped.  Which case a
+pair is comes from ``rconnect.pair_exemptions``, as for R-connectedness.
 
 Coverage matches required terms against generated ones by canonical trace
 structure only; coefficients are ignored, since the generated coefficients
@@ -35,16 +36,8 @@ from dataclasses import dataclass
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import DiagramIndex, DiracPart, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
-from .graphs import (
-    Cycle,
-    ProjEdge,
-    closed_walks,
-    cycle_pairs,
-    diagram_cycles,
-    proj_edge,
-    project,
-)
-from .rconnect import QUATERNION_CONJUGATE_PAIR, exemption_check, shared_trivial_vertex
+from .graphs import Cycle, ProjEdge, closed_walks, diagram_cycles, proj_edge, project
+from .rconnect import SHARED_TRIVIAL_VERTEX, pair_exemptions, shared_trivial_vertex
 
 __all__ = [
     "TermKind",
@@ -166,8 +159,11 @@ def collapse_blocks(b1: Block, b2: Block, algebra: FiniteAlgebra) -> Block | Non
     shared trivial vertex exists.
     """
     v = shared_trivial_vertex(_block_vertex_sequence(b1), _block_vertex_sequence(b2), algebra)
-    if v is None:
-        return None
+    return None if v is None else _collapse_at(b1, b2, v)
+
+
+def _collapse_at(b1: Block, b2: Block, v: RepLabel) -> Block:
+    """The single trace of b1 and b2 joined at their shared vertex v."""
     return canonical_block(_rotate_to(b1, v) + _rotate_to(b2, v))
 
 
@@ -393,46 +389,28 @@ def _required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
         "degree-2 invariant on {edge}",
     )
 
+    # (blocks, origin) of each quartic: the strict 4-cycles, then the pairs
+    # of total length up to 4, which are all pairs of 2-cycles
     cycles = diagram_cycles(d, 4)
-    for cycle in cycles:
-        if len(cycle) != 4:
-            continue
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.QUARTIC,
-                blocks=(_cycle_block(cycle),),
-                coefficient="independent coefficient per index tuple",
-                origin=f"4-cycle {cycle_display(cycle, algebra)}",
-            )
-        )
-
+    quartics = [
+        ((_cycle_block(c),), f"4-cycle {cycle_display(c, algebra)}")
+        for c in cycles if len(c) == 4
+    ]
     two_cycles = tuple(c for c in cycles if len(c) == 2)
-    blocks = {c: _cycle_block(c) for c in two_cycles}
+    block_of = {c: _cycle_block(c) for c in two_cycles}
     shown = {c: cycle_display(c, algebra) for c in two_cycles}
-    for c1, c2 in cycle_pairs(two_cycles, 4):
-        b1, b2 = blocks[c1], blocks[c2]
-        collapsed = collapse_blocks(b1, b2, algebra)
-        pair_disp = f"{shown[c1]} + {shown[c2]}"
-        if collapsed is not None:
-            terms.append(
-                InvariantTerm(
-                    kind=TermKind.QUARTIC,
-                    blocks=(collapsed,),
-                    coefficient="independent coefficient per index tuple",
-                    origin=f"cycle pair {pair_disp}, collapsed at the shared trivial vertex",
-                )
-            )
-            continue
-        if exemption_check(c1, c2, d).clause == QUATERNION_CONJUGATE_PAIR:
-            continue
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.QUARTIC,
-                blocks=tuple(sorted((b1, b2))),
-                coefficient="independent coefficient per index tuple",
-                origin=f"cycle pair {pair_disp}",
-            )
-        )
+    for (c1, c2), ex in pair_exemptions(d, 4).items():
+        b1, b2 = block_of[c1], block_of[c2]
+        origin = f"cycle pair {shown[c1]} + {shown[c2]}"
+        if ex.clause == SHARED_TRIVIAL_VERTEX:
+            collapsed = _collapse_at(b1, b2, ex.vertex)
+            quartics.append(((collapsed,), f"{origin}, collapsed at the shared trivial vertex"))
+        elif not ex.exempt:  # a quaternion-conjugate pair gives no term
+            quartics.append((tuple(sorted((b1, b2))), origin))
+    terms.extend(
+        InvariantTerm(TermKind.QUARTIC, blocks, "independent coefficient per index tuple", origin)
+        for blocks, origin in quartics
+    )
 
     unique: dict = {}
     for t in terms:

@@ -18,6 +18,9 @@ there the pseudo-real structure of the quaternionic representation lets the
 paired invariant decompose into invariants already generated along single
 cycles, so no independent counterterm arises.
 
+``pair_exemptions`` decides each pair once per diagram and length bound;
+conditions 2 and 3 and the double-trace counterterms all read its table.
+
 By default the length bounds are inclusive (≤ m), which is the reading the
 worked examples require; ``strict_bounds`` switches to the literal "< m".
 """
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .algebra import FactorKind, FiniteAlgebra, RepLabel
 from .diagram import KrajewskiDiagram
@@ -86,6 +90,17 @@ def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
             if other2 == other1.conjugated(algebra):
                 return Exemption(True, QUATERNION_CONJUGATE_PAIR, v)
     return Exemption(False)
+
+
+def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cycle], Exemption]:
+    """The exemption of each pair of Γ̃-cycles of total length up to bound,
+    in the order of ``cycle_pairs``, decided once per diagram and bound."""
+
+    def decide():
+        pairs = cycle_pairs(diagram_cycles(d, bound), bound)
+        return MappingProxyType({(c1, c2): exemption_check(c1, c2, d) for c1, c2 in pairs})
+
+    return d.index.stage(("exemptions", bound), decide)
 
 
 @dataclass(frozen=True)
@@ -152,9 +167,9 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
 
     cond1 = tuple(CycleLift(c, lift_cycle(c, d)) for c in cycles)
 
+    exemptions = pair_exemptions(d, bound) if bound >= 2 else {}
     cond2 = []
-    for c1, c2 in cycle_pairs(cycles, bound):
-        ex = exemption_check(c1, c2, d)
+    for (c1, c2), ex in exemptions.items():
         witness = None
         if not ex.exempt:
             witness = lift_pair(c1, c2, d) or lift_pair(c2, c1, d)
@@ -166,9 +181,8 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
         for combo in combinations_with_replacement(cycles, r):
             if sum(len(c) for c in combo) > bound:
                 continue
-            if all(
-                exemption_check(a, b, d).exempt for a, b in combinations(combo, 2)
-            ):
+            # each pair in the tuple has total length at most bound - 2
+            if all(exemptions[pair].exempt for pair in combinations(combo, 2)):
                 continue
             cond3.append(tuple(combo))
 

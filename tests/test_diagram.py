@@ -29,6 +29,7 @@ from kra import (
     project,
     required_counterterms,
     resolve_jmap,
+    serialize,
     structural_key,
     validate,
 )
@@ -431,3 +432,17 @@ class TestStructuralKey:
             d.families,
         )
         assert structural_key(d) == structural_key(shuffled)
+
+    def test_unresolvable_jmap_is_insensitive_to_listing_order(self):
+        # v22 is paired twice, so the key falls back to the declared pairs
+        d = square_diagram()
+        declared = (("v22", "v23"), ("v33", "v33"), ("v32", "v22"))
+        keys, texts = set(), set()
+        for jmap in (declared, tuple(reversed(declared))):
+            permuted = KrajewskiDiagram(d.algebra, d.kodim, d.vertices, d.edges, jmap)
+            with pytest.raises(ValueError):
+                resolve_jmap(permuted)
+            keys.add(structural_key(permuted))
+            texts.add(serialize(permuted))
+        assert len(texts) == 1
+        assert len(keys) == 1

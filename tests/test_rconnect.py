@@ -12,13 +12,26 @@ from kra import (
     builtin,
     check_r_connected,
     canonical_cycle,
+    collapse_blocks,
+    cycle_pairs,
+    diagram_cycles,
     enumerate_cycles,
     exemption_check,
     ko_signs,
     project,
 )
+from kra.invariants import _collapse_at, _cycle_block
+from kra.rconnect import pair_exemptions
 
-from conftest import must_validate, square_diagram, verify_rconnect_report
+from conftest import (
+    FIXTURE_NAMES,
+    grid_diagram,
+    load_fixture,
+    must_validate,
+    path_diagram,
+    square_diagram,
+    verify_rconnect_report,
+)
 
 
 def cycles_by_display(d):
@@ -79,6 +92,46 @@ class TestExemptions:
                     exemption_check(a, b, d).exempt
                     == exemption_check(b, a, d).exempt
                 )
+
+
+def _assert_table_agrees(d) -> None:
+    """The pair table keys every cycle pair in order, holds its exemption,
+    and names the shared trivial vertex exactly where the blocks collapse."""
+    table = pair_exemptions(d, 4)
+    assert tuple(table) == cycle_pairs(diagram_cycles(d, 4), 4)
+    for (c1, c2), ex in table.items():
+        assert ex == exemption_check(c1, c2, d)
+        b1, b2 = _cycle_block(c1), _cycle_block(c2)
+        collapsed = collapse_blocks(b1, b2, d.algebra)
+        assert (collapsed is not None) == (ex.clause == SHARED_TRIVIAL_VERTEX)
+        if collapsed is not None:
+            assert collapsed == _collapse_at(b1, b2, ex.vertex)
+
+
+class TestPairTable:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: builtin("sm"), lambda: builtin("chain"), lambda: builtin("ym", 3)]
+        + [lambda name=name: load_fixture(name) for name in FIXTURE_NAMES]
+        + [square_diagram, lambda: grid_diagram(2), lambda: grid_diagram(3),
+           lambda: path_diagram(10)],
+        ids=["sm", "chain", "ym3"] + list(FIXTURE_NAMES)
+        + ["square", "grid2", "grid3", "path10"],
+    )
+    def test_table_agrees_with_the_block_collapse(self, make):
+        _assert_table_agrees(must_validate(make()))
+
+    def test_table_agrees_on_the_design_corpus(self, corpus):
+        rows, _elapsed = corpus
+        for _name, d, _meta in rows:
+            _assert_table_agrees(d)
+
+    def test_table_is_stored_and_read_only(self):
+        d = must_validate(builtin("chain"))
+        table = pair_exemptions(d, 4)
+        assert pair_exemptions(d, 4) is table
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = None
 
 
 class TestVerdicts:
