@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "FactorKind",
@@ -71,12 +71,13 @@ class FiniteAlgebra:
         return cls(tuple(AlgebraFactor(size, kind) for size, kind in factors))
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class RepLabel:
+class RepLabel(NamedTuple):
     """An irreducible representation: factor index + conjugation flag.
 
     Ordering is (factor_index, conjugate), which doubles as the canonical
     sort key everywhere representation labels are compared or printed.
+    A label is a tuple of its two fields, so it hashes, compares and sorts
+    at C speed, and it equals the plain tuple ``(factor_index, conjugate)``.
     """
 
     factor_index: int

@@ -244,6 +244,22 @@ class DiagramIndex:
         return out
 
     @cached_property
+    def columns(self) -> dict[RepLabel, tuple[str, ...]]:
+        """column -> its vertex ids, sorted."""
+        out: dict[RepLabel, list[str]] = {}
+        for vid in sorted(self.vertices):
+            out.setdefault(self.vertices[vid].col, []).append(vid)
+        return {col: tuple(vids) for col, vids in out.items()}
+
+    @cached_property
+    def column_rows(self) -> dict[RepLabel, frozenset[RepLabel]]:
+        """column -> the rows of its occupied cells."""
+        return {
+            col: frozenset(self.vertices[vid].row for vid in vids)
+            for col, vids in self.columns.items()
+        }
+
+    @cached_property
     def horizontal(self) -> dict[tuple[RepLabel, RepLabel], list[tuple[EdgePair, bool]]]:
         """projected edge (lo, hi) -> its horizontal edge pairs in diagram
         order, each with whether it runs from lo to hi."""

@@ -185,16 +185,18 @@ def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     target = tuple(gamma_tilde)
     k = len(target)
     index = d.index
-    cols = {vid: v.col for vid, v in index.vertices.items()}
+    vertices = index.vertices
+    # a vertex outside the target's columns has no window offset to start from
+    starts = sorted(vid for col in set(target) for vid in index.columns.get(col, ()))
     # a window from r that covers the word closes unless it ends on target[r]
     closes = [k == 1 or target[r - 1] != target[r] for r in range(k)]
-    for length in range(2, len(cols) + 1):
+    for length in range(2, len(vertices) + 1):
         reached = False  # whether any admissible path has `length` vertices
-        for start in sorted(cols):
+        for start in starts:
             # one frame per path vertex: its neighbour iterator, the window
             # offsets still consistent with the trace, and the trace length
-            offsets = tuple(r for r in range(k) if target[r] == cols[start])
-            stack = [(iter(index.neighbors[start]), offsets, 1)] if offsets else []
+            offsets = tuple(r for r in range(k) if target[r] == vertices[start].col)
+            stack = [(iter(index.neighbors[start]), offsets, 1)]
             path, edges, on_path = [start], [], {start}
             while stack:
                 steps, live, m = stack[-1]
@@ -206,8 +208,9 @@ def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
                     if nxt in on_path:
                         continue
                     grown, size = live, m
-                    if cols[nxt] != cols[path[-1]]:
-                        grown = tuple(r for r in live if target[(r + m) % k] == cols[nxt])
+                    col = vertices[nxt].col
+                    if col != vertices[path[-1]].col:
+                        grown = tuple(r for r in live if target[(r + m) % k] == col)
                         size = m + 1
                         if not grown or size > k + 1:
                             continue
@@ -236,6 +239,14 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     row trace must reproduce g2 in either orientation.
     """
     index = d.index
+    # every walk starts in a cell (column of g1, row of g2)
+    column_rows = index.column_rows
+    for col in g1:
+        rows = column_rows.get(col)
+        if rows is not None and not rows.isdisjoint(g2):
+            break
+    else:
+        return None
     for b_seq in (tuple(g2), tuple(reversed(g2))):
         for r1 in range(len(g1)):
             a_rot = tuple(g1[r1:]) + tuple(g1[:r1])

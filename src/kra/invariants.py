@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import DiagramIndex, DiracPart, KrajewskiDiagram, SymbolicOperator
@@ -66,11 +68,11 @@ class TermKind(enum.Enum):
     QUARTIC = "Quartic"
 
 
-@dataclass(frozen=True, order=True)
-class TraceSlot:
+class TraceSlot(NamedTuple):
     """One field factor inside a trace: the multiplet on ``edge``, taken as
     written when ``forward`` (low endpoint to high) and as the adjoint when
-    not."""
+    not.  A slot is the tuple ``(edge, forward)``: it hashes, compares and
+    sorts at C speed, and equals that plain tuple."""
 
     edge: ProjEdge
     forward: bool
@@ -377,25 +379,43 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     """Every gauge-invariant up to degree 4 demanded by the field content,
     derived once per diagram."""
-    return d.index.stage("required_counterterms", lambda: _required_counterterms(d))
+    return d.index.stage("required_counterterms", lambda: tuple(_required_table(d).values()))
 
 
-def _required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
+def _required_table(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]:
+    """The required counterterms keyed by ``canonical_key``, in the order of
+    ``required_counterterms``, derived once per diagram."""
+    return d.index.stage("required_table", lambda: _required_counterterms(d))
+
+
+def _required_counterterms(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]:
     algebra = d.algebra
-    terms = _gauge_and_edge_terms(
+    table: dict = {}
+    for t in _gauge_and_edge_terms(
         d,
         "independent coefficient per gauge factor",
         "independent coefficient c(p1, p2) per basis pair",
         "degree-2 invariant on {edge}",
-    )
+    ):
+        table.setdefault(_built_key(t), t)
 
-    # (blocks, origin) of each quartic: the strict 4-cycles, then the pairs
-    # of total length up to 4, which are all pairs of 2-cycles
+    quartic = TermKind.QUARTIC.value
+
+    def keep(blocks: tuple[Block, ...], origin: str) -> None:
+        """Add a quartic with these sorted, canonical blocks unless its key
+        is in the table already."""
+        key = (quartic, blocks)
+        if key not in table:
+            table[key] = InvariantTerm(
+                TermKind.QUARTIC, blocks, "independent coefficient per index tuple", origin
+            )
+
+    # the strict 4-cycles, then the pairs of total length up to 4, which are
+    # all pairs of 2-cycles
     cycles = diagram_cycles(d, 4)
-    quartics = [
-        ((_cycle_block(c),), f"4-cycle {cycle_display(c, algebra)}")
-        for c in cycles if len(c) == 4
-    ]
+    for c in cycles:
+        if len(c) == 4:
+            keep((_cycle_block(c),), f"4-cycle {cycle_display(c, algebra)}")
     two_cycles = tuple(c for c in cycles if len(c) == 2)
     block_of = {c: _cycle_block(c) for c in two_cycles}
     shown = {c: cycle_display(c, algebra) for c in two_cycles}
@@ -404,18 +424,10 @@ def _required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
         origin = f"cycle pair {shown[c1]} + {shown[c2]}"
         if ex.clause == SHARED_TRIVIAL_VERTEX:
             collapsed = _collapse_at(b1, b2, ex.vertex)
-            quartics.append(((collapsed,), f"{origin}, collapsed at the shared trivial vertex"))
+            keep((collapsed,), f"{origin}, collapsed at the shared trivial vertex")
         elif not ex.exempt:  # a quaternion-conjugate pair gives no term
-            quartics.append((tuple(sorted((b1, b2))), origin))
-    terms.extend(
-        InvariantTerm(TermKind.QUARTIC, blocks, "independent coefficient per index tuple", origin)
-        for blocks, origin in quartics
-    )
-
-    unique: dict = {}
-    for t in terms:
-        unique.setdefault(_built_key(t), t)
-    return tuple(unique.values())
+            keep((b1, b2) if b1 <= b2 else (b2, b1), origin)
+    return MappingProxyType(table)
 
 
 @dataclass(frozen=True)
@@ -452,8 +464,9 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
             collapsed = collapse_blocks(t.blocks[0], t.blocks[1], algebra)
             if collapsed is not None:
                 index.setdefault((TermKind.QUARTIC.value, (collapsed,)), t)
+    # the table's keys come in the order of required_counterterms
     entries = tuple(
-        CoverageEntry(req, index.get(_built_key(req)))
-        for req in required_counterterms(d)
+        CoverageEntry(req, index.get(key))
+        for key, req in zip(_required_table(d), required_counterterms(d))
     )
     return CoverageReport(entries)

@@ -63,6 +63,9 @@ class Exemption:
     vertex: RepLabel | None = None
 
 
+_NOT_EXEMPT = Exemption(False)
+
+
 def shared_trivial_vertex(
     a: Iterable[RepLabel], b: Iterable[RepLabel], algebra: FiniteAlgebra
 ) -> RepLabel | None:
@@ -77,6 +80,8 @@ def shared_trivial_vertex(
 
 def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
     """Decide whether the pair (g1, g2) is excused from condition (2)."""
+    if set(g1).isdisjoint(g2):  # both clauses need a shared vertex
+        return _NOT_EXEMPT
     algebra = d.algebra
     trivial = shared_trivial_vertex(g1, g2, algebra)
     if trivial is not None:
@@ -89,7 +94,7 @@ def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
             other2 = g2[0] if g2[1] == v else g2[1]
             if other2 == other1.conjugated(algebra):
                 return Exemption(True, QUATERNION_CONJUGATE_PAIR, v)
-    return Exemption(False)
+    return _NOT_EXEMPT
 
 
 def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cycle], Exemption]:
@@ -169,11 +174,12 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
 
     exemptions = pair_exemptions(d, bound) if bound >= 2 else {}
     cond2 = []
-    for (c1, c2), ex in exemptions.items():
+    for pair, ex in exemptions.items():
         witness = None
         if not ex.exempt:
+            c1, c2 = pair
             witness = lift_pair(c1, c2, d) or lift_pair(c2, c1, d)
-        cond2.append(PairLift((c1, c2), ex, witness))
+        cond2.append(PairLift(pair, ex, witness))
 
     cond3 = []
     max_tuple = bound // 2

@@ -1,0 +1,119 @@
+"""The pair stages against the code they replaced.
+
+``oracle_pairs`` holds the exemption decision, the pair lift search, the
+required counterterms, coverage and R-connectedness as they were before
+labels and trace slots became tuples, a pair that cannot meet was skipped
+and each required term was keyed once.  Every result must have the same
+``repr``: terms, origins, order, exemptions and witnesses alike.  The oracle
+runs on a copy of the diagram, so it reads nothing the fast stages stored.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from itertools import product
+
+import pytest
+
+import oracle_pairs
+from kra import (
+    DiagramVertex,
+    EdgePair,
+    FactorKind,
+    FiniteAlgebra,
+    KrajewskiDiagram,
+    RepLabel,
+    SymbolicOperator,
+    check_r_connected,
+    counterterm_coverage,
+    diagram_cycles,
+    graphs,
+    lift_pair,
+    required_counterterms,
+)
+
+from conftest import FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram
+from test_lift_oracle import _relabelled
+
+
+def _assert_same_pair_stages(d) -> None:
+    copy = replace(d)  # a fresh index: nothing computed on d is shared
+    assert repr(required_counterterms(d)) == repr(oracle_pairs.required_counterterms(copy))
+    assert repr(counterterm_coverage(d)) == repr(oracle_pairs.counterterm_coverage(copy))
+    assert repr(check_r_connected(d, 4)) == repr(oracle_pairs.check_r_connected(copy, 4))
+
+
+def _family_diagrams():
+    rows = [(f"grid{k}", grid_diagram(k)) for k in (2, 3, 4, 5)]
+    rows += [(f"path{n}", path_diagram(n)) for n in (5, 10, 20, 40)]
+    rows += [
+        ("grid3-relabelled", _relabelled(grid_diagram(3), 7)),
+        ("path10-relabelled", _relabelled(path_diagram(10), 8)),
+    ]
+    rows += [(name, load_fixture(name)) for name in FIXTURE_NAMES]
+    return [(name, must_validate(d)) for name, d in rows]
+
+
+def test_corpus(corpus):
+    rows, _elapsed = corpus
+    for _name, d, _meta in rows:
+        _assert_same_pair_stages(d)
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in _family_diagrams()])
+def test_families_and_fixtures(d):
+    _assert_same_pair_stages(d)
+
+
+def test_pairs_that_share_no_cell_start_no_walk(monkeypatch):
+    """In path n, column 0 holds every row and every other column only row
+    0, so an ordered pair (g1, g2) of 2-cycles meets in a cell exactly when
+    0 is on g1 or on g2.  A pair that does not meet is decided without a
+    single walk; one that meets gets the oracle's witness."""
+    d = must_validate(path_diagram(10))
+    cells = d.index.cells
+    calls = []
+    original = graphs.closed_walks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "closed_walks", counted)
+    apart = lifted = 0
+    for g1, g2 in product(diagram_cycles(d, 2), repeat=2):
+        meets = any((col, row) in cells for col in g1 for row in g2)
+        calls.clear()
+        w = lift_pair(g1, g2, d)
+        assert w == oracle_pairs.lift_pair(g1, g2, d), (g1, g2)
+        if not meets:
+            assert calls == [], (g1, g2)
+            apart += 1
+        lifted += w is not None
+    assert apart == 9 * 9  # the ordered pairs of cycles that miss label 0
+    assert lifted > 0
+
+
+
+def one_sided_square() -> KrajewskiDiagram:
+    """A square of cells {a, b} x {c, e}, joined by two horizontal and two
+    vertical edges, plus one horizontal edge c–e in row f.  No cell lies in
+    {c, e} x {a, b}: the diagram has no mirror, so it is not a valid
+    spectral triple, but the pair stages only read the graph.  The pair
+    ((a, b), (c, e)) lifts only with (a, b) horizontal, which makes this the
+    input on which the axis of the lift's meeting test shows."""
+    algebra = FiniteAlgebra.of(*[(2, FactorKind.COMPLEX)] * 5)
+    a, b, c, e, f = (RepLabel(i) for i in range(5))
+    cells = {"ac": (a, c), "bc": (b, c), "ae": (a, e), "be": (b, e), "cf": (c, f), "ef": (e, f)}
+    vertices = tuple(DiagramVertex(vid, col, row) for vid, (col, row) in cells.items())
+    steps = (("h1", "ac", "bc"), ("h2", "ae", "be"), ("v1", "ac", "ae"), ("v2", "bc", "be"),
+             ("h3", "cf", "ef"))
+    edges = tuple(EdgePair(eid, s, t, SymbolicOperator(eid)) for eid, s, t in steps)
+    return KrajewskiDiagram(algebra, 0, vertices, edges)
+
+
+def test_cells_off_the_mirror():
+    d = one_sided_square()
+    _assert_same_pair_stages(d)
+    lifted = [p.pair for p in check_r_connected(d, 4).cond2 if p.status == "lifted"]
+    assert lifted == [((RepLabel(0), RepLabel(1)), (RepLabel(2), RepLabel(3)))]
