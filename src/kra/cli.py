@@ -43,6 +43,7 @@ from .invariants import (
     action_terms,
     counterterm_coverage,
     cycle_display,
+    edge_display,
     enumerate_fields,
     required_counterterms,
     structure_display,
@@ -206,7 +207,7 @@ def _fields_result(args, d: KrajewskiDiagram, report) -> dict:
         "total_components": inventory.total_components,
         "multiplets": [
             {
-                "edge": f"{{{c.edge[0].display(d.algebra)},{c.edge[1].display(d.algebra)}}}",
+                "edge": edge_display(c.edge, d.algebra),
                 "basis_index": c.basis_index,
                 "source": c.source_rep.display(d.algebra),
                 "target": c.target_rep.display(d.algebra),
@@ -376,12 +377,16 @@ def _powercount_result(args, d, report) -> dict:
     if args.profile:
         profile = _parse_profile(args.profile)
         check = validate_profile(profile)
+        try:
+            bound = omega_bound(profile, n) if check.ok else None
+        except ValueError as exc:  # a vertex valence above the order n
+            raise _CliError(64, f"kra: error: {exc}") from None
         result["profile"] = {
             "checks": [
                 {"name": c.name, "ok": c.ok, "lhs": c.lhs, "rhs": c.rhs} for c in check.checks
             ],
             "consistent": check.ok,
-            "omega_bound": omega_bound(profile, n) if check.ok else None,
+            "omega_bound": bound,
             "omega_external": omega_external(
                 profile.L, profile.E_A, profile.E_chi, profile.E_ghost, n
             ),

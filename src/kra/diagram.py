@@ -536,6 +536,15 @@ def _check_operator_shapes(d: KrajewskiDiagram) -> CheckResult:
                 f"edge {edge.id}: matrix shape {edge.operator.shape} "
                 f"does not match {expected} (target-dim × source-dim)"
             )
+    # the multiplets of a projected edge span either labels or matrices; only
+    # a diagram with both kinds of operator needs the horizontal edge table
+    if len({isinstance(e.operator, SymbolicOperator) for e in d.edges}) > 1:
+        for over in d.index.horizontal.values():
+            if len({isinstance(e.operator, SymbolicOperator) for e, _ in over}) > 1:
+                problems.append(
+                    f"edges {', '.join(e.id for e, _ in over)}: "
+                    "mixed symbolic and numeric operators over one projected edge"
+                )
     return CheckResult("operator-shape", not problems, "error", tuple(problems))
 
 

@@ -94,17 +94,20 @@ def _project(d: KrajewskiDiagram) -> ProjectedGraph:
     )
 
 
+def least_rotation(seq: tuple, mirror: tuple) -> tuple:
+    """The lexicographically least rotation of ``seq`` or of ``mirror``, its
+    image under the orbit's reflection (a reversal, or a dagger for trace
+    blocks).  Each rotation is one slice of a doubled sequence, and the
+    candidates are built in a list: ``min`` over a generator is slower on
+    the short sequences met here."""
+    n = len(seq)
+    return min([w[r:r + n] for w in (seq + seq, mirror + mirror) for r in range(n)])
+
+
 def canonical_cycle(seq: Cycle) -> Cycle:
     """Lexicographically least vertex sequence over rotations and reversals."""
-    n = len(seq)
-    best = None
-    for base in (tuple(seq), tuple(reversed(seq))):
-        for r in range(n):
-            cand = base[r:] + base[:r]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    seq = tuple(seq)
+    return least_rotation(seq, seq[::-1])
 
 
 def enumerate_cycles(g: ProjectedGraph, max_len: int) -> tuple[Cycle, ...]:

@@ -33,12 +33,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
-from .diagram import DiagramIndex, DiracPart, KrajewskiDiagram, SymbolicOperator
+from .diagram import DiracPart, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
-from .graphs import Cycle, ProjEdge, closed_walks, diagram_cycles, proj_edge, project
+from .graphs import (
+    Cycle, ProjEdge, closed_walks, diagram_cycles, least_rotation, proj_edge, project,
+)
 from .rconnect import SHARED_TRIVIAL_VERTEX, pair_exemptions, shared_trivial_vertex
 
 __all__ = [
@@ -119,13 +121,8 @@ class InvariantTerm:
 
 def canonical_block(block: Block) -> Block:
     """Least representative over cyclic rotations and the dagger reversal."""
-    n = len(block)
     dagger = tuple(TraceSlot(s.edge, not s.forward) for s in reversed(block))
-    candidates = []
-    for base in (tuple(block), dagger):
-        for r in range(n):
-            candidates.append(base[r:] + base[:r])
-    return min(candidates)
+    return least_rotation(tuple(block), dagger)
 
 
 def canonical_key(term: InvariantTerm):
@@ -169,11 +166,15 @@ def _collapse_at(b1: Block, b2: Block, v: RepLabel) -> Block:
     return canonical_block(_rotate_to(b1, v) + _rotate_to(b2, v))
 
 
-def _cycle_block(cycle: Cycle) -> Block:
-    n = len(cycle)
+def _cycle_block(labels: Sequence[RepLabel]) -> Block:
+    """The canonical trace block of a closed Γ̃ label walk: one slot per step
+    labels[i] -> labels[i + 1], cyclically.  A cycle, an edge walked forth
+    and back, and the column or row trace of a diagram walk all take this
+    form; it is the one place where steps become trace slots."""
+    n = len(labels)
     slots = []
     for i in range(n):
-        a, b = cycle[i], cycle[(i + 1) % n]
+        a, b = labels[i], labels[(i + 1) % n]
         edge = proj_edge(a, b)
         slots.append(TraceSlot(edge, a == edge[0]))
     return canonical_block(tuple(slots))
@@ -187,7 +188,7 @@ def cycle_display(cycle: Cycle, algebra: FiniteAlgebra) -> str:
     )
 
 
-def _edge_display(edge: ProjEdge, algebra: FiniteAlgebra) -> str:
+def edge_display(edge: ProjEdge, algebra: FiniteAlgebra) -> str:
     return f"{{{edge[0].display(algebra)},{edge[1].display(algebra)}}}"
 
 
@@ -198,7 +199,7 @@ def structure_display(term: InvariantTerm, algebra: FiniteAlgebra) -> str:
     for block in term.blocks:
         inner = []
         for slot in block:
-            base = f"phi{_edge_display(slot.edge, algebra)}"
+            base = f"phi{edge_display(slot.edge, algebra)}"
             inner.append(base if slot.forward else base + "*")
         parts.append("tr[" + " ".join(inner) + "]")
     body = " ".join(parts)
@@ -262,26 +263,6 @@ def enumerate_fields(d: KrajewskiDiagram) -> FieldInventory:
 # Generated action terms
 
 
-def _walk_slots(index: DiagramIndex, walk_vertices: tuple[str, ...], which: DiracPart,
-                parts: tuple[DiracPart, ...]) -> Block:
-    """Trace slots for the steps of the given part, in walk order.
-
-    Horizontal steps are read through the column projection, vertical steps
-    through the row labels (the reflection j turns them horizontal).
-    """
-    slots = []
-    n = len(parts)
-    for i in range(n):
-        if parts[i] is not which:
-            continue
-        u = index.vertices[walk_vertices[i]]
-        w = index.vertices[walk_vertices[(i + 1) % n]]
-        a, b = (u.col, w.col) if which is DiracPart.DELTA else (u.row, w.row)
-        edge = proj_edge(a, b)
-        slots.append(TraceSlot(edge, a == edge[0]))
-    return tuple(slots)
-
-
 def _quartic_coefficient(edge_ids: tuple[str, ...]) -> tuple[str, tuple[tuple[str, str], ...]]:
     factors = tuple((eid, f"p{i + 1}") for i, eid in enumerate(edge_ids))
     display = "prop. to " + " ".join(f"M_{eid}^{p}" for eid, p in factors)
@@ -312,10 +293,10 @@ def _gauge_and_edge_terms(
     ]
     for edge in project(d).non_loop_edges:
         texts = {
-            "edge": _edge_display(edge, algebra),
+            "edge": edge_display(edge, algebra),
             "over": ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ()))),
         }
-        blocks = (canonical_block((TraceSlot(edge, True), TraceSlot(edge, False))),)
+        blocks = (_cycle_block(edge),)
         for kind in (TermKind.SCALAR_MASS, TermKind.SCALAR_KINETIC):
             terms.append(
                 InvariantTerm(
@@ -344,16 +325,24 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
     # Walks are enumerated only from their least vertex (floor=start).  The
     # first walk with a given term starts at the least vertex of any walk with
-    # that term, so the pruned walks are never the ones kept.
+    # that term, so the pruned walks are never the ones kept.  A walk's
+    # horizontal steps trace the columns at their sources, and its vertical
+    # steps (read through j) the rows at theirs: a vertical step keeps the
+    # column and a horizontal step the row.
     index = d.index
     seen: set = set()
     for n_h, n_v, name in ((4, 0, "walk"), (2, 2, "mixed walk")):
         cols, rows = (None,) * n_h, (None,) * n_v
         for start in sorted(index.steps):
             for vertices, edge_ids, parts in closed_walks(index, start, cols, rows, floor=start):
-                h = _walk_slots(index, vertices, DiracPart.DELTA, parts)
-                v = _walk_slots(index, vertices, DiracPart.J_DELTA_J, parts)
-                term_blocks = tuple(sorted(canonical_block(b) for b in (h, v) if b))
+                h, v = [], []  # every step is horizontal or vertical
+                for vid, part in zip(vertices, parts):
+                    cell = index.vertices[vid]
+                    if part is DiracPart.DELTA:
+                        h.append(cell.col)
+                    else:
+                        v.append(cell.row)
+                term_blocks = tuple(sorted(_cycle_block(w) for w in (h, v) if w))
                 key = (TermKind.QUARTIC.value, term_blocks)
                 if key in seen:
                     continue

@@ -133,6 +133,9 @@ class TestExitCodes:
             ["powercount", "--profile", '{"L":1.5}'],
             ["powercount", "--profile", '{"L":true}'],
             ["powercount", "--profile", "true"],
+            # consistent, but a vertex valence above the order
+            ["powercount", "-n", "4", "--profile", '{"L":0,"V":{"5,0":1},"E_A":5}'],
+            ["powercount", "-n", "4", "--profile", '{"L":0,"V":{"5,0":1},"E_A":5}', "--json"],
             ["check-rconnect", "--builtin", "sm", "--dim", "-1"],
             ["no-such-command"],
         )
@@ -143,6 +146,18 @@ class TestExitCodes:
             # one line, from kra's own parser or from argparse ("kra <cmd>: error:")
             assert err.startswith("kra") and ": error: " in err, (argv, err)
             assert err.count("\n") == 1, (argv, err)
+
+    def test_mixed_operators_are_refused_by_every_analysis(self):
+        mixed = str(FIXTURE_DIR / "mixed_operators.kra")
+        detail = "edges e1, e2: mixed symbolic and numeric operators over one projected edge"
+        code, out, _err = run("validate", mixed)
+        assert code == 3
+        assert f"[FAIL] operator-shape: {detail}" in out
+        for cmd in ("fields", "action-terms", "counterterms", "coverage", "verdict"):
+            for fmt in ((), ("--json",)):
+                code, out, err = run(cmd, mixed, *fmt)
+                assert (code, out) == (3, ""), (cmd, fmt)
+                assert err == f"validation failed\n  operator-shape: {detail}\n", (cmd, fmt)
 
     def test_version_and_help(self):
         code, out, _ = run("--version")

@@ -19,6 +19,7 @@ from kra import (
     RepLabel,
     SymbolicOperator,
     action_terms,
+    basis_dimension,
     builtin,
     check_r_connected,
     dirac_decomposition,
@@ -34,7 +35,7 @@ from kra import (
     validate,
 )
 
-from conftest import must_validate, square_diagram
+from conftest import load_fixture, must_validate, square_diagram
 
 
 class TestKOSigns:
@@ -333,6 +334,23 @@ class TestValidation:
         )
         report = validate(KrajewskiDiagram(algebra, 0, vertices, replaced, jmap))
         assert not report.ok
+
+    def test_mixed_operators_over_one_projected_edge_fail_operator_shape(self):
+        d = load_fixture("mixed_operators.kra")
+        report = validate(d)
+        assert not report.ok
+        # reported inside the existing entry: the list of checks is unchanged
+        assert [e.check for e in report.entries] == [
+            e.check for e in validate(builtin("chain")).entries
+        ]
+        assert [(e.check, e.details) for e in report.failures()] == [(
+            "operator-shape",
+            ("edges e1, e2: mixed symbolic and numeric operators over one projected edge",),
+        )]
+        # a library caller that skips validation still gets the ValueError
+        (edge,) = project(d).non_loop_edges
+        with pytest.raises(ValueError, match="mixed symbolic and numeric"):
+            basis_dimension(edge, d)
 
     def test_kodim_out_of_range_fails(self):
         algebra, vertices, edges, jmap = self._two_vertex_parts()

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kra import (
     FactorKind,
@@ -27,7 +29,7 @@ from kra import (
     required_counterterms,
 )
 from kra.graphs import proj_edge
-from kra.invariants import TraceSlot, structure_display
+from kra.invariants import TraceSlot, _cycle_block, structure_display
 
 from conftest import grid_diagram, load_fixture, must_validate, path_diagram, square_diagram
 
@@ -192,6 +194,36 @@ class TestCanonicalForms:
         e = project(d).non_loop_edges[0]  # {2, 3}: no trivial label
         b = (TraceSlot(e, True), TraceSlot(e, False))
         assert collapse_blocks(b, b, d.algebra) is None
+
+
+def _label_walks():
+    """Closed walks of 2 to 6 steps over six labels, no step staying put."""
+    labels = st.sampled_from([RepLabel(i, c) for i in range(3) for c in (False, True)])
+    return st.lists(labels, min_size=2, max_size=6).filter(
+        lambda w: all(a != b for a, b in zip(w, w[1:] + w[:1]))
+    )
+
+
+def _chained_block(walk):
+    """The raw slots of a closed label walk, one per step, in walk order."""
+    return tuple(TraceSlot(proj_edge(a, b), a < b) for a, b in zip(walk, walk[1:] + walk[:1]))
+
+
+class TestCanonicalBlockProperty:
+    """canonical_block on random chained blocks.  The orbit is built at the
+    label level: the walk read backwards gives a rotation of the dagger."""
+
+    @given(_label_walks())
+    @settings(deadline=None, max_examples=300)
+    def test_least_element_of_the_rotation_dagger_orbit(self, walk):
+        block, back = _chained_block(walk), _chained_block(walk[::-1])
+        orbit = {b[r:] + b[:r] for b in (block, back) for r in range(len(block))}
+        assert tuple(TraceSlot(s.edge, not s.forward) for s in reversed(block)) in orbit
+        canon = canonical_block(block)
+        assert canon in orbit
+        assert canon == min(orbit)
+        assert all(canonical_block(member) == canon for member in orbit)
+        assert _cycle_block(walk) == canon
 
 
 class TestActionTerms:
