@@ -14,6 +14,7 @@ broken diagram can be inspected rather than merely rejected.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -209,6 +210,14 @@ class DiagramIndex:
             self._stages[key] = compute()
         return self._stages[key]
 
+    def without_stages(self) -> DiagramIndex:
+        """A new index that shares every table built so far and holds no
+        stage result, for a copy of the diagram that differs only in its
+        jmap: no table reads the jmap, but a stage may."""
+        index = copy.copy(self)
+        index._stages = {}
+        return index
+
     def _known_edges(self):
         """(edge, source, target, part; None if diagonal) for known endpoints."""
         for e in self._edges:
@@ -362,7 +371,8 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     """Check the diagram axioms; failures become report entries.
 
     On success the report carries a resolved copy of the diagram (jmap made
-    explicit and normalized).
+    explicit and normalized), which shares the index tables the checks
+    built but no stage result.
     """
     entries: list[CheckResult] = []
 
@@ -440,6 +450,7 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     resolved = None
     if ok and mapping is not None:
         resolved = replace(d, jmap=_normalized_jmap(mapping.items()))
+        object.__setattr__(resolved, "_index", d.index.without_stages())
     return ValidationReport(tuple(entries), resolved)
 
 

@@ -132,8 +132,8 @@ def _extend_cycles(g: ProjectedGraph, path: list[RepLabel], max_len: int,
                    found: set[Cycle]) -> None:
     """Add to ``found`` every cycle of 3..max_len vertices through ``path``.
 
-    Module-level, as ``_extend_walks``, so that no recursive closure keeps Γ̃
-    alive past the call."""
+    Module-level, not a closure: a recursive closure is a reference cycle,
+    which would keep Γ̃ alive past the call."""
     for nxt in g.neighbors(path[-1]):
         if nxt == path[0] and len(path) >= 3:
             found.add(canonical_cycle(tuple(path)))
@@ -271,39 +271,60 @@ def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple,
     With a ``floor``, the walk never enters a vertex id below it.  Yields
     (vertex ids, edge ids, parts), where step i runs from vertex i to
     vertex i + 1, cyclically.
+
+    One depth-first loop over an explicit stack, with no closure, so that
+    nothing keeps the index alive past the call.  The last step is taken
+    only back into ``start``, and the walk is yielded there and then.
     """
-    yield from _extend_walks(index, cols, rows, floor, [start], [], [], 0, 0)
-
-
-def _extend_walks(index: DiagramIndex, cols: tuple, rows: tuple, floor: str | None,
-                  path: list[str], edges: list[str], parts: list[DiracPart],
-                  i: int, j: int):
-    """The closed walks of ``closed_walks`` that extend ``path``, which has
-    taken i horizontal and j vertical steps.
-
-    A module-level function, not a closure: a recursive closure is a
-    reference cycle, which would keep the index, and every analysis result
-    it stores, alive until the cyclic garbage collector runs."""
     n, m = len(cols), len(rows)
-    if i == n and j == m:
-        if path[-1] == path[0]:
-            yield tuple(path[:-1]), tuple(edges), tuple(parts)
+    last = n + m - 1  # the steps a walk takes before its closing one
+    if last < 0:
+        yield (), (), ()
         return
-    for eid, nxt, part in index.steps[path[-1]]:
-        if floor is not None and nxt < floor:
-            continue
-        if part is DiracPart.DELTA and i < n:
-            want, got, di, dj = cols[(i + 1) % n], index.vertices[nxt].col, 1, 0
-        elif part is DiracPart.J_DELTA_J and j < m:
-            want, got, di, dj = rows[(j + 1) % m], index.vertices[nxt].row, 0, 1
+    if last == 0:
+        return  # one step back into start is a self-loop, which is a D0 step
+    if floor is not None and start < floor:
+        return  # the closing step would enter a vertex below the floor
+    steps, vertices = index.steps, index.vertices
+    delta, j_delta_j = DiracPart.DELTA, DiracPart.J_DELTA_J
+    # the closing step is horizontal step n - 1, which must enter column
+    # cols[0], or vertical step m - 1, which must enter row rows[0]
+    at_start = vertices[start]
+    close_h = n > 0 and cols[0] in (None, at_start.col)
+    close_v = m > 0 and rows[0] in (None, at_start.row)
+    path, edges, parts = [start], [], []
+    stack = [(iter(steps[start]), 0, 0)]
+    while stack:
+        frame, i, j = stack[-1]
+        for eid, nxt, part in frame:
+            if floor is not None and nxt < floor:
+                continue
+            if part is delta and i < n:
+                want = cols[(i + 1) % n]
+                if want is not None and want != vertices[nxt].col:
+                    continue
+                i2, j2 = i + 1, j
+            elif part is j_delta_j and j < m:
+                want = rows[(j + 1) % m]
+                if want is not None and want != vertices[nxt].row:
+                    continue
+                i2, j2 = i, j + 1
+            else:
+                continue
+            if i2 + j2 < last:
+                path.append(nxt)
+                edges.append(eid)
+                parts.append(part)
+                stack.append((iter(steps[nxt]), i2, j2))
+                break
+            # nxt is the last vertex before the closing step
+            if (close_h if i2 < n else close_v):
+                closing = delta if i2 < n else j_delta_j
+                for back, other, p in steps[nxt]:
+                    if other == start and p is closing:
+                        yield (*path, nxt), (*edges, eid, back), (*parts, part, closing)
         else:
-            continue
-        if want is not None and want != got:
-            continue
-        path.append(nxt)
-        edges.append(eid)
-        parts.append(part)
-        yield from _extend_walks(index, cols, rows, floor, path, edges, parts, i + di, j + dj)
-        path.pop()
-        edges.pop()
-        parts.pop()
+            stack.pop()
+            path.pop()
+            del edges[-1:]
+            del parts[-1:]

@@ -328,8 +328,10 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     # that term, so the pruned walks are never the ones kept.  A walk's
     # horizontal steps trace the columns at their sources, and its vertical
     # steps (read through j) the rows at theirs: a vertical step keeps the
-    # column and a horizontal step the row.
+    # column and a horizontal step the row.  Many walks share one such pair
+    # of label walks, and only the first of them can give a new term.
     index = d.index
+    walked: set = set()  # the label walk pairs met so far
     seen: set = set()
     for n_h, n_v, name in ((4, 0, "walk"), (2, 2, "mixed walk")):
         cols, rows = (None,) * n_h, (None,) * n_v
@@ -342,7 +344,11 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
                         h.append(cell.col)
                     else:
                         v.append(cell.row)
-                term_blocks = tuple(sorted(_cycle_block(w) for w in (h, v) if w))
+                labels = (tuple(h), tuple(v))
+                if labels in walked:
+                    continue  # its term is in seen already
+                walked.add(labels)
+                term_blocks = tuple(sorted(_cycle_block(w) for w in labels if w))
                 key = (TermKind.QUARTIC.value, term_blocks)
                 if key in seen:
                     continue

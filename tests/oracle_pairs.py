@@ -6,7 +6,9 @@ reference the fast stages are compared against.
 ``_check_r_connected`` and ``counterterm_coverage`` are the earlier code
 word for word.  Here they resolve ``pair_exemptions``, ``lift_pair`` and
 ``required_counterterms`` to this module, which decides and derives
-everything afresh on every call and stores nothing on the diagram.  The
+everything afresh on every call and stores nothing on the diagram.
+``lift_pair`` walks with the frozen kernel of ``oracle_kernel``, so a change
+to ``kra.graphs.closed_walks`` cannot move both sides of a comparison.  The
 helpers they share with ``kra`` (Γ̃, the cycle list, ``lift_cycle``, the
 action terms, block canonicalization) are not part of the fast path.
 """
@@ -17,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 
 from kra.algebra import FactorKind
 from kra.diagram import KrajewskiDiagram
-from kra.graphs import Cycle, LiftWitness, closed_walks, cycle_pairs, diagram_cycles, lift_cycle
+from kra.graphs import Cycle, LiftWitness, cycle_pairs, diagram_cycles, lift_cycle
 from kra.invariants import (
     CoverageEntry,
     CoverageReport,
@@ -40,6 +42,8 @@ from kra.rconnect import (
     RConnectReport,
     shared_trivial_vertex,
 )
+
+from oracle_kernel import closed_walks
 
 
 def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:

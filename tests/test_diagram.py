@@ -172,6 +172,23 @@ class TestDiagramIndex:
         assert again == stored
         assert not any(a is b for a, b in zip(again, stored))
 
+    def test_the_validated_copy_shares_tables_and_no_stage(self):
+        """``validate`` returns a copy that differs from its input only in the
+        jmap, which no table reads: the copy takes over every table built on
+        the input, and starts with no stage result, since a stage may read
+        the jmap."""
+        d = square_diagram()
+        bare = KrajewskiDiagram(d.algebra, d.kodim, d.vertices, d.edges)  # jmap inferred
+        bare.index.steps
+        stage = project(bare)
+        resolved = must_validate(bare)
+        assert resolved.jmap != bare.jmap
+        for table in ("vertices", "cells", "steps"):
+            assert getattr(resolved.index, table) is getattr(bare.index, table), table
+        assert resolved.index._stages == {}
+        assert project(resolved) is not stage
+        assert project(resolved) == stage
+
     @pytest.mark.parametrize("name", ["sm", "chain"])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_rconnect_reports_are_stored_per_dimension_and_bounds(self, name, reverse):

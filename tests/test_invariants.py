@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kra import (
+    DiracPart,
     FactorKind,
     FiniteAlgebra,
     GaussRational,
@@ -20,6 +21,7 @@ from kra import (
     builtin,
     canonical_block,
     canonical_key,
+    closed_walks,
     collapse_blocks,
     counterterm_coverage,
     cycle_pairs,
@@ -28,6 +30,7 @@ from kra import (
     project,
     required_counterterms,
 )
+from kra import invariants
 from kra.graphs import proj_edge
 from kra.invariants import TraceSlot, _cycle_block, structure_display
 
@@ -280,6 +283,44 @@ class TestActionTerms:
         terms = action_terms(d)
         keys = [canonical_key(t) for t in terms]
         assert len(keys) == len(set(keys))
+
+    def test_each_label_walk_is_made_into_blocks_once(self, monkeypatch):
+        """On grid k=3 the quartic walks from their least vertex are 20
+        four-step and 63 mixed walks, and they trace far fewer distinct
+        (columns, rows) label walks.  ``_cycle_block`` runs once per Γ̃ edge
+        and once per label walk of each distinct pair: 44 calls, where one
+        per walk made 149."""
+        d = must_validate(grid_diagram(3))
+        index = d.index
+        want = [tuple(e) for e in project(d).non_loop_edges]
+        walks, pairs = [], set()
+        for n_h, n_v in ((4, 0), (2, 2)):
+            found = [
+                walk
+                for start in sorted(index.steps)
+                for walk in closed_walks(index, start, (None,) * n_h, (None,) * n_v, floor=start)
+            ]
+            walks.append(len(found))
+            for vertices, _edges, parts in found:
+                cells = [(index.vertices[vid], part) for vid, part in zip(vertices, parts)]
+                h = tuple(c.col for c, part in cells if part is DiracPart.DELTA)
+                v = tuple(c.row for c, part in cells if part is not DiracPart.DELTA)
+                if (h, v) not in pairs:
+                    pairs.add((h, v))
+                    want.extend(w for w in (h, v) if w)
+        assert walks == [20, 63]
+
+        calls = []
+        original = invariants._cycle_block
+
+        def counted(labels):
+            calls.append(tuple(labels))
+            return original(labels)
+
+        monkeypatch.setattr(invariants, "_cycle_block", counted)
+        action_terms(d)
+        assert calls == want
+        assert len(calls) == 44
 
 
 class TestBuiltBlocksAreCanonical:
