@@ -560,7 +560,7 @@ def _load_diagram(args) -> tuple[KrajewskiDiagram, dict]:
             raise _CliError(64, f"kra: error: {exc}") from None
     path = args.file or args.path
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise _CliError(2, f"kra: cannot read {path}: {reason}") from None

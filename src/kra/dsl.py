@@ -12,6 +12,7 @@ The format is line-oriented, one declaration per line, with ``#`` comments:
     edge d1 a -> b matrix [[1, 1/2+1/3*i], [0, -i]]
     jmap lL <-> lLc
 
+Lines end at LF, CR LF or CR, and spaces and tabs separate tokens.
 Representation labels are factor names with a trailing ``~`` for conjugates.
 Matrix entries are exact complex rationals ``a/b+c/d*i``.  Unknown
 directives, duplicate or undeclared identifiers, and malformed matrices are
@@ -20,6 +21,7 @@ parse errors carrying a precise source span.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,9 +60,11 @@ class ParseError(Exception):
         return text
 
 
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*~?"
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<word>[A-Za-z_][A-Za-z0-9_]*~?)
+    rf"""
+    (?P<word>{_WORD})
   | (?P<int>\d+)
   | (?P<darrow><->)
   | (?P<arrow>->)
@@ -70,12 +74,51 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# A well-formed declaration line in one match: the directive and its fields
+# separated by spaces, with no tab, comment or adjacent tokens (a matrix
+# literal still runs to the end of the line).  Each field group is the token
+# the tokenizer would read at the same column, so a line this takes parses
+# as the tokenizer and _LineParser parse it; any other line goes through them.
+_LINE_PATTERN = rf"""
+    \ *(?:
+      (?P<vertex>vertex\ +(?P<vid>{_WORD})\ +(?P<vcol>{_WORD})\ +(?P<vrow>{_WORD})
+        (?:\ +(?P<vsign>[+-]))?)
+    | (?P<edge>edge\ +(?P<eid>{_WORD})\ +(?P<esrc>{_WORD})\ +->\ +(?P<edst>{_WORD})
+        (?:\ +label\ +(?P<elabel>{_WORD})|\ +matrix\ +(?P<ematrix>\[.*))?)
+    | (?P<jmap>jmap\ +(?P<jleft>{_WORD})\ +<->\ +(?P<jright>{_WORD}))
+    | (?P<factor>factor\ +(?P<fname>{_WORD})\ +(?P<fkind>{_WORD})\ +(?P<fsize>\d+))
+    | (?P<kodim>kodim\ +(?P<kvalue>\d+))
+    | (?P<families>families\ +(?P<nvalue>\d+))
+    )\ *
+    """
+
+
+@functools.cache
+def _line_re() -> re.Pattern[str]:
+    """_LINE_PATTERN, compiled at the first parse: about 2 ms that a process
+    reading no .kra text does not pay at import."""
+    return re.compile(_LINE_PATTERN, re.VERBOSE)
+
 
 @dataclass(slots=True)
 class _Token:
     kind: str
     text: str
     column: int  # 1-based
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of text.  A line ends at LF, CR LF or CR only, so a form
+    feed, U+2028 or other Unicode break inside a comment stays in it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _matrix_literal(rest: str) -> str:
+    """A matrix literal, from its ``[`` to the end of the line or a ``#``."""
+    cut = rest.find("#")
+    if cut != -1:
+        rest = rest[:cut]
+    return rest.rstrip()
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
@@ -96,52 +139,47 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
         kind = m.lastgroup or ""
         if kind == "lbracket":
             # A matrix literal swallows the rest of the meaningful line.
-            rest = line[pos:]
-            cut = rest.find("#")
-            if cut != -1:
-                rest = rest[:cut]
-            tokens.append(_Token("matrix", rest.rstrip(), pos + 1))
+            tokens.append(_Token("matrix", _matrix_literal(line[pos:]), pos + 1))
             return tokens
         tokens.append(_Token(kind, m.group(), pos + 1))
         pos = m.end()
     return tokens
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_ENTRY_FORMS = [
-    (re.compile(rf"^(?P<re>{_RAT})$"), lambda m: (m["re"], "0")),
-    (re.compile(r"^(?P<s>[+-]?)i$"), lambda m: ("0", m["s"] + "1")),
-    (re.compile(rf"^(?P<im>{_RAT})\*i$"), lambda m: ("0", m["im"])),
-    (
-        re.compile(rf"^(?P<re>{_RAT})(?P<s>[+-])i$"),
-        lambda m: (m["re"], m["s"] + "1"),
-    ),
-    (
-        re.compile(rf"^(?P<re>{_RAT})(?P<s>[+-])(?P<im>\d+(?:/\d+)?)\*i$"),
-        lambda m: (m["re"], m["s"] + m["im"]),
-    ),
-]
+# One matrix entry: a/b, c/d*i, ±i, a/b±i or a/b±c/d*i.  The sign before the
+# imaginary part may be left out only when there is no real part.
+_ENTRY_RE = re.compile(
+    r"(?:([+-]?\d+)(?:/(\d+))?)?"
+    r"(?:((?(1)[+-]|[+-]?))(?:(\d+)(?:/(\d+))?\*)?(i))?"
+)
+_ZERO = Fraction(0)
+
+
+def _fraction(num: str, den: str | None) -> Fraction:
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _parse_entry(text: str, lineno: int, column: int) -> GaussRational:
     stripped = text.strip()
     offset = column + (len(text) - len(text.lstrip()))
-    for pattern, extract in _ENTRY_FORMS:
-        m = pattern.match(stripped)
-        if m:
-            re_part, im_part = extract(m)
-            try:
-                return GaussRational(Fraction(re_part), Fraction(im_part))
-            except ZeroDivisionError:
-                raise ParseError(
-                    SourceSpan(lineno, offset, len(stripped)),
-                    "zero denominator in matrix entry",
-                ) from None
-    raise ParseError(
-        SourceSpan(lineno, offset, max(len(stripped), 1)),
-        f"malformed matrix entry {stripped!r}",
-        expected=("a/b+c/d*i",),
-    )
+    m = _ENTRY_RE.fullmatch(stripped) if stripped else None
+    if m is None:
+        raise ParseError(
+            SourceSpan(lineno, offset, max(len(stripped), 1)),
+            f"malformed matrix entry {stripped!r}",
+            expected=("a/b+c/d*i",),
+        )
+    re_num, re_den, sign, im_num, im_den, unit = m.groups()
+    try:
+        return GaussRational(
+            _fraction(re_num, re_den) if re_num else _ZERO,
+            _fraction(sign + (im_num or "1"), im_den) if unit else _ZERO,
+        )
+    except ZeroDivisionError:
+        raise ParseError(
+            SourceSpan(lineno, offset, len(stripped)),
+            "zero denominator in matrix entry",
+        ) from None
 
 
 def _split_top_level(text: str) -> list[tuple[str, int]]:
@@ -193,6 +231,7 @@ def _parse_matrix(literal: str, lineno: int, column: int) -> NumericOperator:
 class _ParserState:
     factor_names: dict[str, int] = field(default_factory=dict)
     factors: list[AlgebraFactor] = field(default_factory=list)
+    labels: dict[str, RepLabel] = field(default_factory=dict)
     kodim: int | None = None
     families: int | None = None
     vertices: list[DiagramVertex] = field(default_factory=list)
@@ -231,28 +270,13 @@ class _LineParser:
 def parse(text: str) -> KrajewskiDiagram:
     """Parse source text into a (not yet validated) diagram."""
     state = _ParserState()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if not tokens:
-            continue
-        head = tokens[0]
-        if head.kind != "word":
-            raise ParseError(
-                SourceSpan(lineno, head.column, len(head.text)),
-                f"expected a directive, got {head.text!r}",
-                ("factor", "kodim", "families", "vertex", "edge", "jmap"),
-            )
-        parser = _LineParser(tokens, lineno)
-        parser.pos = 1
-        handler = _DIRECTIVES.get(head.text)
-        if handler is None:
-            raise ParseError(
-                SourceSpan(lineno, head.column, len(head.text)),
-                f"unknown directive {head.text!r}",
-                ("factor", "kodim", "families", "vertex", "edge", "jmap"),
-            )
-        handler(state, parser)
-        parser.done()
+    fullmatch = _line_re().fullmatch
+    for lineno, line in enumerate(_split_lines(text), start=1):
+        m = fullmatch(line)
+        if m is not None:
+            _LINE_FORMS[m.lastgroup](state, m, lineno)
+        else:
+            _parse_tokens(state, line, lineno)
     if not state.factors:
         raise ParseError(SourceSpan(1, 1), "missing algebra declaration", ("factor",))
     return KrajewskiDiagram(
@@ -265,82 +289,144 @@ def parse(text: str) -> KrajewskiDiagram:
     )
 
 
-def _directive_factor(state: _ParserState, p: _LineParser) -> None:
-    name = p.take("word", "factor name")
-    if name.text in state.factor_names:
+def _parse_tokens(state: _ParserState, line: str, lineno: int) -> None:
+    """Parse one line token by token: the path of every line that
+    _LINE_PATTERN does not take, and the one place that words a syntax error."""
+    tokens = _tokenize(line, lineno)
+    if not tokens:
+        return
+    head = tokens[0]
+    if head.kind != "word":
         raise ParseError(
-            SourceSpan(p.lineno, name.column, len(name.text)),
-            f"duplicate factor {name.text!r}",
+            SourceSpan(lineno, head.column, len(head.text)),
+            f"expected a directive, got {head.text!r}",
+            ("factor", "kodim", "families", "vertex", "edge", "jmap"),
         )
-    kind_tok = p.take("word", "field kind R|C|H")
+    parser = _LineParser(tokens, lineno)
+    parser.pos = 1
+    handler = _DIRECTIVES.get(head.text)
+    if handler is None:
+        raise ParseError(
+            SourceSpan(lineno, head.column, len(head.text)),
+            f"unknown directive {head.text!r}",
+            ("factor", "kodim", "families", "vertex", "edge", "jmap"),
+        )
+    handler(state, parser)
+    parser.done()
+
+
+# ---------------------------------------------------------------------------
+# Semantic checks, shared by both paths: each takes a field's text and its
+# 1-based column, and words its error in this one place.
+
+
+def _new_id(ids, text: str, column: int, lineno: int, what: str) -> str:
+    if text in ids:
+        raise ParseError(
+            SourceSpan(lineno, column, len(text)), f"duplicate {what} {text!r}"
+        )
+    return text
+
+
+def _field_kind(text: str, column: int, lineno: int) -> FactorKind:
     try:
-        kind = FactorKind(kind_tok.text)
+        return FactorKind(text)
     except ValueError:
         raise ParseError(
-            SourceSpan(p.lineno, kind_tok.column, len(kind_tok.text)),
-            f"bad field kind {kind_tok.text!r}",
+            SourceSpan(lineno, column, len(text)),
+            f"bad field kind {text!r}",
             ("R", "C", "H"),
         ) from None
-    size_tok = p.take("int", "factor size")
-    size = int(size_tok.text)
-    if size < 1:
+
+
+def _positive(text: str, column: int, lineno: int, what: str) -> int:
+    value = int(text)
+    if value < 1:
         raise ParseError(
-            SourceSpan(p.lineno, size_tok.column, len(size_tok.text)),
-            "factor size must be positive",
+            SourceSpan(lineno, column, len(text)), f"{what} must be positive"
         )
-    state.factor_names[name.text] = len(state.factors)
-    state.factors.append(AlgebraFactor(size, kind))
+    return value
 
 
-def _directive_kodim(state: _ParserState, p: _LineParser) -> None:
-    tok = p.take("int", "KO-dimension 0..7")
-    value = int(tok.text)
+def _set_kodim(state: _ParserState, text: str, column: int, lineno: int) -> None:
+    value = int(text)
     if not 0 <= value <= 7:
         raise ParseError(
-            SourceSpan(p.lineno, tok.column, len(tok.text)),
+            SourceSpan(lineno, column, len(text)),
             f"KO-dimension must be in 0..7, got {value}",
         )
     if state.kodim is not None:
-        raise ParseError(SourceSpan(p.lineno, tok.column), "duplicate kodim directive")
+        raise ParseError(SourceSpan(lineno, column), "duplicate kodim directive")
     state.kodim = value
 
 
-def _directive_families(state: _ParserState, p: _LineParser) -> None:
-    tok = p.take("int", "family count")
-    value = int(tok.text)
-    if value < 1:
-        raise ParseError(
-            SourceSpan(p.lineno, tok.column, len(tok.text)),
-            "families must be positive",
-        )
+def _set_families(state: _ParserState, text: str, column: int, lineno: int) -> None:
+    value = _positive(text, column, lineno, "families")
     if state.families is not None:
-        raise ParseError(SourceSpan(p.lineno, tok.column), "duplicate families directive")
+        raise ParseError(SourceSpan(lineno, column), "duplicate families directive")
     state.families = value
 
 
-def _rep_from_token(state: _ParserState, tok: _Token, lineno: int) -> RepLabel:
-    name = tok.text
+def _rep_label(state: _ParserState, text: str, column: int, lineno: int) -> RepLabel:
+    label = state.labels.get(text)
+    if label is not None:
+        return label
+    name = text
     conjugate = name.endswith("~")
     if conjugate:
         name = name[:-1]
     index = state.factor_names.get(name)
     if index is None:
         raise ParseError(
-            SourceSpan(lineno, tok.column, len(tok.text)),
+            SourceSpan(lineno, column, len(text)),
             f"unknown factor {name!r}",
         )
-    return RepLabel(index, conjugate)
+    # a factor keeps its index once declared, so a label read once stays valid
+    label = state.labels[text] = RepLabel(index, conjugate)
+    return label
+
+
+def _require_vertex(state: _ParserState, text: str, column: int, lineno: int) -> str:
+    if text not in state.vertex_ids:
+        raise ParseError(
+            SourceSpan(lineno, column, len(text)),
+            f"undeclared vertex {text!r}",
+        )
+    return text
+
+
+# ---------------------------------------------------------------------------
+# Token by token: one handler per directive, taking its fields in order
+
+
+def _directive_factor(state: _ParserState, p: _LineParser) -> None:
+    name = p.take("word", "factor name")
+    _new_id(state.factor_names, name.text, name.column, p.lineno, "factor")
+    kind_tok = p.take("word", "field kind R|C|H")
+    kind = _field_kind(kind_tok.text, kind_tok.column, p.lineno)
+    size_tok = p.take("int", "factor size")
+    size = _positive(size_tok.text, size_tok.column, p.lineno, "factor size")
+    state.factor_names[name.text] = len(state.factors)
+    state.factors.append(AlgebraFactor(size, kind))
+
+
+def _directive_kodim(state: _ParserState, p: _LineParser) -> None:
+    tok = p.take("int", "KO-dimension 0..7")
+    _set_kodim(state, tok.text, tok.column, p.lineno)
+
+
+def _directive_families(state: _ParserState, p: _LineParser) -> None:
+    tok = p.take("int", "family count")
+    _set_families(state, tok.text, tok.column, p.lineno)
 
 
 def _directive_vertex(state: _ParserState, p: _LineParser) -> None:
     vid = p.take("word", "vertex id")
-    if vid.text in state.vertex_ids:
-        raise ParseError(
-            SourceSpan(p.lineno, vid.column, len(vid.text)),
-            f"duplicate vertex {vid.text!r}",
-        )
-    col = _rep_from_token(state, p.take("word", "column rep"), p.lineno)
-    row = _rep_from_token(state, p.take("word", "row rep"), p.lineno)
+    _new_id(state.vertex_ids, vid.text, vid.column, p.lineno, "vertex")
+    tok = p.take("word", "column rep")
+    col = _rep_label(state, tok.text, tok.column, p.lineno)
+    tok = p.take("word", "row rep")
+    row = _rep_label(state, tok.text, tok.column, p.lineno)
     sign: int | None = None
     tok = p.peek()
     if tok is not None and tok.kind == "sign":
@@ -350,25 +436,14 @@ def _directive_vertex(state: _ParserState, p: _LineParser) -> None:
     state.vertices.append(DiagramVertex(vid.text, col, row, sign))
 
 
-def _require_vertex(state: _ParserState, tok: _Token, lineno: int) -> str:
-    if tok.text not in state.vertex_ids:
-        raise ParseError(
-            SourceSpan(lineno, tok.column, len(tok.text)),
-            f"undeclared vertex {tok.text!r}",
-        )
-    return tok.text
-
-
 def _directive_edge(state: _ParserState, p: _LineParser) -> None:
     eid = p.take("word", "edge id")
-    if eid.text in state.edge_ids:
-        raise ParseError(
-            SourceSpan(p.lineno, eid.column, len(eid.text)),
-            f"duplicate edge {eid.text!r}",
-        )
-    source = _require_vertex(state, p.take("word", "source vertex"), p.lineno)
+    _new_id(state.edge_ids, eid.text, eid.column, p.lineno, "edge")
+    tok = p.take("word", "source vertex")
+    source = _require_vertex(state, tok.text, tok.column, p.lineno)
     p.take("arrow", "'->'")
-    target = _require_vertex(state, p.take("word", "target vertex"), p.lineno)
+    tok = p.take("word", "target vertex")
+    target = _require_vertex(state, tok.text, tok.column, p.lineno)
     operator: SymbolicOperator | NumericOperator
     tok = p.peek()
     if tok is None:
@@ -392,9 +467,11 @@ def _directive_edge(state: _ParserState, p: _LineParser) -> None:
 
 
 def _directive_jmap(state: _ParserState, p: _LineParser) -> None:
-    left = _require_vertex(state, p.take("word", "vertex id"), p.lineno)
+    tok = p.take("word", "vertex id")
+    left = _require_vertex(state, tok.text, tok.column, p.lineno)
     p.take("darrow", "'<->'")
-    right = _require_vertex(state, p.take("word", "vertex id"), p.lineno)
+    tok = p.take("word", "vertex id")
+    right = _require_vertex(state, tok.text, tok.column, p.lineno)
     state.jmap.append((left, right))
 
 
@@ -405,6 +482,67 @@ _DIRECTIVES = {
     "vertex": _directive_vertex,
     "edge": _directive_edge,
     "jmap": _directive_jmap,
+}
+
+
+# ---------------------------------------------------------------------------
+# One match per line: one builder per _LINE_PATTERN alternative, making the same
+# checks in the same order as the handler above
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _factor_line(state: _ParserState, m: re.Match, lineno: int) -> None:
+    name = _new_id(state.factor_names, m["fname"], m.start("fname") + 1, lineno, "factor")
+    kind = _field_kind(m["fkind"], m.start("fkind") + 1, lineno)
+    size = _positive(m["fsize"], m.start("fsize") + 1, lineno, "factor size")
+    state.factor_names[name] = len(state.factors)
+    state.factors.append(AlgebraFactor(size, kind))
+
+
+def _kodim_line(state: _ParserState, m: re.Match, lineno: int) -> None:
+    _set_kodim(state, m["kvalue"], m.start("kvalue") + 1, lineno)
+
+
+def _families_line(state: _ParserState, m: re.Match, lineno: int) -> None:
+    _set_families(state, m["nvalue"], m.start("nvalue") + 1, lineno)
+
+
+def _vertex_line(state: _ParserState, m: re.Match, lineno: int) -> None:
+    vid = _new_id(state.vertex_ids, m["vid"], m.start("vid") + 1, lineno, "vertex")
+    col = _rep_label(state, m["vcol"], m.start("vcol") + 1, lineno)
+    row = _rep_label(state, m["vrow"], m.start("vrow") + 1, lineno)
+    state.vertex_ids.add(vid)
+    state.vertices.append(DiagramVertex(vid, col, row, _SIGNS.get(m["vsign"])))
+
+
+def _edge_line(state: _ParserState, m: re.Match, lineno: int) -> None:
+    eid = _new_id(state.edge_ids, m["eid"], m.start("eid") + 1, lineno, "edge")
+    source = _require_vertex(state, m["esrc"], m.start("esrc") + 1, lineno)
+    target = _require_vertex(state, m["edst"], m.start("edst") + 1, lineno)
+    operator: SymbolicOperator | NumericOperator
+    if m["ematrix"] is not None:
+        literal = _matrix_literal(m["ematrix"])
+        operator = _parse_matrix(literal, lineno, m.start("ematrix") + 1)
+    else:
+        operator = SymbolicOperator(m["elabel"] or eid)
+    state.edge_ids.add(eid)
+    state.edges.append(EdgePair(eid, source, target, operator))
+
+
+def _jmap_line(state: _ParserState, m: re.Match, lineno: int) -> None:
+    left = _require_vertex(state, m["jleft"], m.start("jleft") + 1, lineno)
+    right = _require_vertex(state, m["jright"], m.start("jright") + 1, lineno)
+    state.jmap.append((left, right))
+
+
+_LINE_FORMS = {
+    "factor": _factor_line,
+    "kodim": _kodim_line,
+    "families": _families_line,
+    "vertex": _vertex_line,
+    "edge": _edge_line,
+    "jmap": _jmap_line,
 }
 
 

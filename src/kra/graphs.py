@@ -250,7 +250,10 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
             break
     else:
         return None
-    for b_seq in (tuple(g2), tuple(reversed(g2))):
+    g2 = tuple(g2)
+    # a cycle of at most two labels read backwards is one of its rotations,
+    # whose searches the first orientation has already made
+    for b_seq in (g2,) if len(g2) <= 2 else (g2, g2[::-1]):
         for r1 in range(len(g1)):
             a_rot = tuple(g1[r1:]) + tuple(g1[:r1])
             for r2 in range(len(g2)):

@@ -14,7 +14,7 @@ import kra
 from kra import parse, serialize, structural_key
 from kra.cli import main
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, FIXTURE_NAMES
 
 SCHEMA = json.loads(
     (Path(kra.__file__).parent / "schema" / "report.schema.json").read_text()
@@ -67,6 +67,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"kra: cannot read {latin}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_byte_order_mark_is_skipped(self, tmp_path, name):
+        plain = FIXTURE_DIR / name
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for command in ("validate", "fmt"):
+            code, out, err = run(command, str(marked))
+            assert (code, out, err) == run(command, str(plain))
+            assert code == 0
 
     def test_parse_error_carries_position(self, tmp_path):
         bad = tmp_path / "bad.kra"

@@ -141,6 +141,32 @@ class TestParsing:
         )
 
 
+#: characters str.splitlines() breaks at that are not a line end in .kra text
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+    def test_comment_keeps_a_unicode_break(self, ch):
+        d = parse(
+            "factor a C 1\nkodim 1\n"
+            f"# see section 2{ch} for details\nvertex x a a # page{ch}break\n"
+        )
+        assert [v.id for v in d.vertices] == ["x"]
+
+    @pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+    def test_unicode_break_outside_a_comment_is_an_error(self, ch):
+        e = err(f"factor a C 1\nkodim 1\nvertex x a a{ch}\nvertex y a a\n")
+        assert e.message == f"unexpected character {ch!r}"
+        assert (e.span.line, e.span.column) == (3, 13)
+
+    def test_crlf_and_cr_end_lines(self):
+        e = err("factor a C 1\r\nkodim 1\rvertex x a a\r\nbogus\n")
+        assert (e.span.line, e.span.column) == (4, 1)
+        d = parse("factor a C 1\r\nkodim 1\rvertex x a a +\r")
+        assert d.kodim == 1 and d.vertices[0].sign == 1
+
+
 class TestParseErrors:
     def test_empty_document(self):
         e = err("")

@@ -15,7 +15,9 @@ from kra import (
     builtin,
     canonical_cycle,
     cycle_pairs,
+    diagram_cycles,
     enumerate_cycles,
+    graphs,
     lift_cycle,
     lift_pair,
     project,
@@ -25,6 +27,7 @@ from kra.graphs import proj_edge
 from conftest import (
     cyclic_equal,
     must_validate,
+    path_diagram,
     square_diagram,
     verify_cycle_witness,
     verify_pair_witness,
@@ -239,6 +242,30 @@ class TestLiftPair:
         g2 = by_disp[("1~", "3")]
         assert lift_pair(g1, g2, d) is None
         assert lift_pair(g2, g1, d) is None
+
+    def test_a_two_cycle_is_searched_in_one_orientation(self, monkeypatch):
+        """Read backwards, a 2-cycle is one of its own rotations.  So a 2+2
+        pair with no lift starts one kernel search per rotation of each
+        cycle and meeting cell, and none for the reversed second cycle."""
+        d = must_validate(path_diagram(10))
+        g1, g2 = diagram_cycles(d, 2)[:2]
+        cells = d.index.cells
+        starts = [
+            start
+            for a in (g1, g1[::-1])
+            for b in (g2, g2[::-1])
+            for start in cells.get((a[0], b[0]), ())
+        ]
+        calls = []
+        original = graphs.closed_walks
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "closed_walks", counted)
+        assert lift_pair(g1, g2, d) is None
+        assert starts and calls == starts
 
     def test_all_found_lifts_verify_on_random_corpus(self, corpus):
         rows, _elapsed = corpus
