@@ -116,8 +116,7 @@ class RepLabel(NamedTuple):
 # Gauge Lie algebra
 
 
-@dataclass(frozen=True, slots=True)
-class GaugeAlgebraDecomposition:
+class GaugeAlgebraDecomposition(NamedTuple):
     """Simple summands (kind, k) plus the rank of the abelian part.
 
     ``simple_factors`` entries use the classical series names: ("o", k),
@@ -187,8 +186,7 @@ def algebra_dimension(decomp: GaugeAlgebraDecomposition) -> int:
 # Unimodularity
 
 
-@dataclass(frozen=True, slots=True)
-class UnimodularityRelation:
+class UnimodularityRelation(NamedTuple):
     """The single linear relation among the complex factors' u(1) generators.
 
     ``constraint`` lists (factor_index, coefficient) for complex factors; the

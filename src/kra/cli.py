@@ -335,7 +335,7 @@ def _profile_int(value, what: str) -> int:
 def _parse_profile(text: str) -> GraphProfile:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise _CliError(64, f"kra: error: bad profile JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise _CliError(64, "kra: error: profile must be a JSON object")

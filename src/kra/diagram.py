@@ -18,7 +18,7 @@ import copy
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .algebra import FactorKind, FiniteAlgebra, RepLabel
 from .exactlin import GaussRational, Matrix
@@ -51,8 +51,7 @@ T = TypeVar("T")
 # KO-dimension sign table
 
 
-@dataclass(frozen=True, slots=True)
-class KOSigns:
+class KOSigns(NamedTuple):
     n: int
     eps: int
     eps_prime: int
@@ -292,16 +291,14 @@ def dirac_decomposition(d: KrajewskiDiagram) -> dict[DiracPart, tuple[EdgePair, 
 # Validation
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     ok: bool
     severity: str  # "error" | "warning" | "info"
     details: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     entries: tuple[CheckResult, ...]
     diagram: KrajewskiDiagram | None
 

@@ -25,6 +25,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
 from .diagram import (
@@ -40,8 +41,7 @@ from .exactlin import GaussRational
 __all__ = ["SourceSpan", "ParseError", "parse", "serialize", "format_entry"]
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     column: int
     length: int = 1
@@ -65,7 +65,7 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_]*~?"
 _TOKEN_RE = re.compile(
     rf"""
     (?P<word>{_WORD})
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<darrow><->)
   | (?P<arrow>->)
   | (?P<sign>[+-])
@@ -86,9 +86,9 @@ _LINE_PATTERN = rf"""
     | (?P<edge>edge\ +(?P<eid>{_WORD})\ +(?P<esrc>{_WORD})\ +->\ +(?P<edst>{_WORD})
         (?:\ +label\ +(?P<elabel>{_WORD})|\ +matrix\ +(?P<ematrix>\[.*))?)
     | (?P<jmap>jmap\ +(?P<jleft>{_WORD})\ +<->\ +(?P<jright>{_WORD}))
-    | (?P<factor>factor\ +(?P<fname>{_WORD})\ +(?P<fkind>{_WORD})\ +(?P<fsize>\d+))
-    | (?P<kodim>kodim\ +(?P<kvalue>\d+))
-    | (?P<families>families\ +(?P<nvalue>\d+))
+    | (?P<factor>factor\ +(?P<fname>{_WORD})\ +(?P<fkind>{_WORD})\ +(?P<fsize>[0-9]+))
+    | (?P<kodim>kodim\ +(?P<kvalue>[0-9]+))
+    | (?P<families>families\ +(?P<nvalue>[0-9]+))
     )\ *
     """
 
@@ -149,14 +149,29 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
 # One matrix entry: a/b, c/d*i, ±i, a/b±i or a/b±c/d*i.  The sign before the
 # imaginary part may be left out only when there is no real part.
 _ENTRY_RE = re.compile(
-    r"(?:([+-]?\d+)(?:/(\d+))?)?"
-    r"(?:((?(1)[+-]|[+-]?))(?:(\d+)(?:/(\d+))?\*)?(i))?"
+    r"(?:([+-]?[0-9]+)(?:/([0-9]+))?)?"
+    r"(?:((?(1)[+-]|[+-]?))(?:([0-9]+)(?:/([0-9]+))?\*)?(i))?"
 )
 _ZERO = Fraction(0)
 
 
-def _fraction(num: str, den: str | None) -> Fraction:
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+def _integer(text: str, column: int, lineno: int) -> int:
+    """The value of an integer field, an optional sign and ASCII digits; one
+    too long for ``int`` is a parse error at its span."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(
+            SourceSpan(lineno, column, len(text)),
+            f"integer too long ({len(text)} digits)",
+        ) from None
+
+
+def _entry_int(m: re.Match, group: int, offset: int, lineno: int) -> int:
+    """The integer of one group of an entry match at column offset, 1 when
+    the group is empty."""
+    text = m[group]
+    return _integer(text, offset + m.start(group), lineno) if text else 1
 
 
 def _parse_entry(text: str, lineno: int, column: int) -> GaussRational:
@@ -169,12 +184,16 @@ def _parse_entry(text: str, lineno: int, column: int) -> GaussRational:
             f"malformed matrix entry {stripped!r}",
             expected=("a/b+c/d*i",),
         )
-    re_num, re_den, sign, im_num, im_den, unit = m.groups()
+    re_num, sign, unit = m.group(1, 3, 6)
     try:
-        return GaussRational(
-            _fraction(re_num, re_den) if re_num else _ZERO,
-            _fraction(sign + (im_num or "1"), im_den) if unit else _ZERO,
-        )
+        re_part = im_part = _ZERO
+        if re_num:
+            re_part = Fraction(_entry_int(m, 1, offset, lineno), _entry_int(m, 2, offset, lineno))
+        if unit:
+            im_part = Fraction(_entry_int(m, 4, offset, lineno), _entry_int(m, 5, offset, lineno))
+            if sign == "-":
+                im_part = -im_part
+        return GaussRational(re_part, im_part)
     except ZeroDivisionError:
         raise ParseError(
             SourceSpan(lineno, offset, len(stripped)),
@@ -340,7 +359,7 @@ def _field_kind(text: str, column: int, lineno: int) -> FactorKind:
 
 
 def _positive(text: str, column: int, lineno: int, what: str) -> int:
-    value = int(text)
+    value = _integer(text, column, lineno)
     if value < 1:
         raise ParseError(
             SourceSpan(lineno, column, len(text)), f"{what} must be positive"
@@ -349,7 +368,7 @@ def _positive(text: str, column: int, lineno: int, what: str) -> int:
 
 
 def _set_kodim(state: _ParserState, text: str, column: int, lineno: int) -> None:
-    value = int(text)
+    value = _integer(text, column, lineno)
     if not 0 <= value <= 7:
         raise ParseError(
             SourceSpan(lineno, column, len(text)),

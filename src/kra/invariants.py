@@ -26,12 +26,17 @@ structure only; coefficients are ignored, since the generated coefficients
 need not agree with the independent ones ("the coefficients in front of the
 counterterms might be different" — the theory is not multiplicatively
 renormalizable).
+
+``TraceSlot`` and the records ``FieldComponent``, ``FieldInventory``,
+``InvariantTerm``, ``CoverageEntry`` and ``CoverageReport`` are named
+tuples: a required term and a coverage entry are built per pair of cycles,
+so they cost no more than a tuple.  A record equals the plain tuple of its
+fields, iterates over them, and is copied with ``_replace``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -91,22 +96,19 @@ class TraceSlot(NamedTuple):
 Block = tuple[TraceSlot, ...]
 
 
-@dataclass(frozen=True)
-class FieldComponent:
+class FieldComponent(NamedTuple):
     edge: ProjEdge
     basis_index: int
     source_rep: RepLabel
     target_rep: RepLabel
 
 
-@dataclass(frozen=True)
-class FieldInventory:
+class FieldInventory(NamedTuple):
     components: tuple[FieldComponent, ...]
     total_components: int
 
 
-@dataclass(frozen=True)
-class InvariantTerm:
+class InvariantTerm(NamedTuple):
     kind: TermKind
     blocks: tuple[Block, ...]
     coefficient: str
@@ -425,14 +427,12 @@ def _required_counterterms(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]
     return MappingProxyType(table)
 
 
-@dataclass(frozen=True)
-class CoverageEntry:
+class CoverageEntry(NamedTuple):
     required: InvariantTerm
     matched: InvariantTerm | None
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     entries: tuple[CoverageEntry, ...]
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import irrep_correspondence_check
 from .diagram import KrajewskiDiagram
@@ -104,8 +104,7 @@ class GraphProfile:
         return self.I_A + self.I_chi + self.I_ghost
 
 
-@dataclass(frozen=True)
-class ProfileCheck:
+class ProfileCheck(NamedTuple):
     name: str
     lhs: int
     rhs: int
@@ -115,8 +114,7 @@ class ProfileCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(NamedTuple):
     checks: tuple[ProfileCheck, ...]
 
     @property
@@ -168,8 +166,7 @@ def omega_external(
     return (4 - order) * (L - 1) + 4 - (E_A + E_chi + E_ghost)
 
 
-@dataclass(frozen=True)
-class HeatKernelCoefficients:
+class HeatKernelCoefficients(NamedTuple):
     k: int
     c: Fraction
     c_prime: Fraction
@@ -208,8 +205,7 @@ IRREP_HYPOTHESIS = "irreducible-representation correspondence fails"
 RCONNECT_HYPOTHESIS = "R-connectedness fails"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     verdict: str
     order: int
     failing_hypotheses: tuple[str, ...]

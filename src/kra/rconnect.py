@@ -23,14 +23,18 @@ conditions 2 and 3 and the double-trace counterterms all read its table.
 
 By default the length bounds are inclusive (≤ m), which is the reading the
 worked examples require; ``strict_bounds`` switches to the literal "< m".
+
+The records ``Exemption``, ``CycleLift``, ``PairLift`` and ``RConnectReport``
+are named tuples: one is built per pair, so they cost no more than a tuple.
+A record equals the plain tuple of its fields, iterates over them, and is
+copied with ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import FactorKind, FiniteAlgebra, RepLabel
 from .diagram import KrajewskiDiagram
@@ -56,8 +60,7 @@ SHARED_TRIVIAL_VERTEX = "shared-trivial-vertex"
 QUATERNION_CONJUGATE_PAIR = "quaternion-conjugate-pair"
 
 
-@dataclass(frozen=True)
-class Exemption:
+class Exemption(NamedTuple):
     exempt: bool
     clause: str | None = None
     vertex: RepLabel | None = None
@@ -108,8 +111,7 @@ def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cyc
     return d.index.stage(("exemptions", bound), decide)
 
 
-@dataclass(frozen=True)
-class CycleLift:
+class CycleLift(NamedTuple):
     cycle: Cycle
     witness: LiftWitness | None
 
@@ -118,8 +120,7 @@ class CycleLift:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class PairLift:
+class PairLift(NamedTuple):
     pair: tuple[Cycle, Cycle]
     exemption: Exemption
     witness: LiftWitness | None
@@ -135,8 +136,7 @@ class PairLift:
         return self.status != "missing"
 
 
-@dataclass(frozen=True)
-class RConnectReport:
+class RConnectReport(NamedTuple):
     dimension: int
     strict_bounds: bool
     cond1: tuple[CycleLift, ...]
@@ -173,12 +173,20 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
     cond1 = tuple(CycleLift(c, lift_cycle(c, d)) for c in cycles)
 
     exemptions = pair_exemptions(d, bound) if bound >= 2 else {}
+    # the rows the columns of each cycle hold: lift_pair(c1, c2, d) starts a
+    # walk only in a cell (column of c1, row of c2), so it finds none when
+    # this set for c1 misses c2, and is not called
+    column_rows = d.index.column_rows
+    reach = {c: frozenset().union(*(column_rows.get(col, ()) for col in c)) for c in cycles}
     cond2 = []
     for pair, ex in exemptions.items():
         witness = None
         if not ex.exempt:
             c1, c2 = pair
-            witness = lift_pair(c1, c2, d) or lift_pair(c2, c1, d)
+            if not reach[c1].isdisjoint(c2):
+                witness = lift_pair(c1, c2, d)
+            if witness is None and not reach[c2].isdisjoint(c1):
+                witness = lift_pair(c2, c1, d)
         cond2.append(PairLift(pair, ex, witness))
 
     cond3 = []

@@ -85,6 +85,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"{bad}:2:1:")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("factor c1 C 1\nkodim " + "9" * 5000 + "\n", "2:7:"),
+         ("factor c1 C \u0661\n", "1:13:")],
+        ids=["overlong-kodim", "arabic-indic-size"],
+    )
+    def test_bad_integer_is_a_parse_error(self, tmp_path, text, where):
+        bad = tmp_path / "bad.kra"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run("validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{bad}:{where}") and "Traceback" not in err
+
     def test_validation_failure_returns_three(self, tmp_path):
         broken = tmp_path / "broken.kra"
         # two vertices of the same sign joined by an edge: grading fails
@@ -143,6 +156,7 @@ class TestExitCodes:
             ["powercount", "--profile", '{"L":1.5}'],
             ["powercount", "--profile", '{"L":true}'],
             ["powercount", "--profile", "true"],
+            ["powercount", "--profile", '{"L": ' + "9" * 5000 + "}"],
             # consistent, but a vertex valence above the order
             ["powercount", "-n", "4", "--profile", '{"L":0,"V":{"5,0":1},"E_A":5}'],
             ["powercount", "-n", "4", "--profile", '{"L":0,"V":{"5,0":1},"E_A":5}', "--json"],

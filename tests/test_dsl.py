@@ -260,6 +260,67 @@ class TestParseErrors:
         err("factor c2 C 2\nvertex v c2 c2 +\njmap v <-> w\n")
 
 
+MATRIX_PRELUDE = "factor c1 C 2\nvertex a c1 c1\nvertex b c1 c1\n"
+#: one line per way of spelling it: a spaced line (one pattern match) and
+#: the same line with a tab and a comment (the tokenizer)
+BOTH_PATHS = [("{}", 0), ("\t{}  # both paths", 1)]
+
+
+class TestIntegerFields:
+    """Integer fields are ASCII digits, and one too long for ``int`` is a
+    parse error at its span, not a ``ValueError``."""
+
+    @pytest.mark.parametrize("spelling, shift", BOTH_PATHS)
+    @pytest.mark.parametrize(
+        "prelude, line, column",
+        [
+            ("", "factor c1 C {}", 13),
+            ("factor c1 C 1\n", "kodim {}", 7),
+            ("factor c1 C 1\n", "families {}", 10),
+            (MATRIX_PRELUDE, "edge e a -> b matrix [[{}, 0], [0, 1]]", 24),
+            (MATRIX_PRELUDE, "edge e a -> b matrix [[1/{}, 0], [0, 1]]", 26),
+            (MATRIX_PRELUDE, "edge e a -> b matrix [[1, -{}/2*i], [0, 1]]", 28),
+            (MATRIX_PRELUDE, "edge e a -> b matrix [[1, 0], [3/4+1/{}*i, 1]]", 38),
+        ],
+        ids=["factor-size", "kodim", "families", "entry", "entry-denominator",
+             "imaginary-numerator", "imaginary-denominator"],
+    )
+    def test_overlong_integer_is_a_parse_error(self, prelude, line, column, spelling, shift):
+        digits = "7" * 5000
+        text = prelude + spelling.format(line.format(digits)) + "\n"
+        e = err(text)
+        assert e.span == (prelude.count("\n") + 1, column + shift, 5000)
+        assert e.message == "integer too long (5000 digits)"
+        # an integer at Python's limit still reads: a range check may reject it
+        at_limit = prelude + spelling.format(line.format("1" * 4300)) + "\n"
+        try:
+            parse(at_limit)
+        except ParseError as range_error:
+            assert "too long" not in range_error.message
+
+    @pytest.mark.parametrize("spelling, shift", BOTH_PATHS)
+    @pytest.mark.parametrize(
+        "prelude, line, column, message",
+        [
+            ("", "factor c1 C ١", 13, "unexpected character '١'"),
+            ("factor c1 C 1\n", "kodim ٣", 7, "unexpected character '٣'"),
+            ("factor c1 C 1\n", "families ٢", 10, "unexpected character '٢'"),
+            ("factor c1 C 1\n", "kodim ３", 7, "unexpected character '３'"),
+            (MATRIX_PRELUDE, "edge e a -> b matrix [[١, 0], [0, 1]]", 24,
+             "malformed matrix entry '١'"),
+            (MATRIX_PRELUDE, "edge e a -> b matrix [[1/٢, 0], [0, 1]]", 24,
+             "malformed matrix entry '1/٢'"),
+        ],
+        ids=["arabic-indic-size", "arabic-indic-kodim", "arabic-indic-families",
+             "fullwidth-kodim", "arabic-indic-entry", "arabic-indic-denominator"],
+    )
+    def test_non_ascii_digit_is_a_parse_error(self, prelude, line, column, message, spelling,
+                                              shift):
+        e = err(prelude + spelling.format(line) + "\n")
+        assert e.span[:2] == (prelude.count("\n") + 1, column + shift)
+        assert e.message == message
+
+
 SM_TEXT = serialize(builtin("sm"))
 
 

@@ -178,9 +178,7 @@ class TestCanonicalForms:
         ]
         assert req
         t = req[0]
-        from dataclasses import replace
-
-        swapped = replace(t, blocks=(t.blocks[1], t.blocks[0]))
+        swapped = t._replace(blocks=(t.blocks[1], t.blocks[0]))
         assert canonical_key(t) == canonical_key(swapped)
 
     def test_collapse_at_shared_trivial_vertex(self):
