@@ -28,7 +28,7 @@ from .algebra import (
     simple_factor_dimension,
     unimodularity_relation,
 )
-from .builtins import BUILTIN_SUMMARIES, builtin
+from .builtins import BUILTIN_SUMMARIES, builtin, decimal_int
 from .diagram import (
     KrajewskiDiagram,
     ValidationReport,
@@ -74,7 +74,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_arg(text: str) -> int:
     try:
-        return int(text)
+        return decimal_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
@@ -345,7 +345,7 @@ def _parse_profile(text: str) -> GraphProfile:
     vertices: dict[tuple[int, int], int] = {}
     for key, count in valences.items():
         try:
-            i, j = (int(part) for part in key.split(","))
+            i, j = (decimal_int(part) for part in key.split(","))
         except ValueError:
             raise _CliError(
                 64, f"kra: error: bad vertex valence key {key!r} (want 'i,j')"

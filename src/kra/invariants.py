@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import DiracPart, KrajewskiDiagram, SymbolicOperator
@@ -168,18 +168,68 @@ def _collapse_at(b1: Block, b2: Block, v: RepLabel) -> Block:
     return canonical_block(_rotate_to(b1, v) + _rotate_to(b2, v))
 
 
-def _cycle_block(labels: Sequence[RepLabel]) -> Block:
+class StepCodes(NamedTuple):
+    """Integer codes for directed label steps.  The step a -> b over the
+    edge e = proj_edge(a, b) has code 2·r + [a == e[0]], where r is e's
+    rank among the edges coded, so codes sort as the steps' trace slots do
+    and flipping the low bit gives the step reversed, the dagger of its
+    slot.  ``code`` maps each step (a, b) to its code, and ``slot[c]`` is
+    the ``TraceSlot`` of code c."""
+
+    code: Mapping[tuple[RepLabel, RepLabel], int]
+    slot: tuple[TraceSlot, ...]
+
+
+def _step_codes(steps: Iterable[tuple[RepLabel, RepLabel]]) -> StepCodes:
+    """The codes of the label steps ``steps`` and of their reverses."""
+    code: dict = {}
+    slots: list[TraceSlot] = []
+    for lo, hi in sorted({proj_edge(a, b) for a, b in steps}):
+        code[hi, lo] = len(slots)
+        slots.append(TraceSlot((lo, hi), False))
+        code[lo, hi] = len(slots)
+        slots.append(TraceSlot((lo, hi), True))
+    return StepCodes(code, tuple(slots))
+
+
+def _diagram_step_codes(d: KrajewskiDiagram) -> StepCodes:
+    """The codes of every column step and every row step of d's edges,
+    derived once per diagram.  They cover each Γ̃ edge and each step a walk
+    of the diagram takes, the row steps of vertical edges included, which
+    need not be Γ̃ edges."""
+    return d.index.stage("step_codes", lambda: _step_codes(_label_steps(d)))
+
+
+def _label_steps(d: KrajewskiDiagram) -> Iterator[tuple[RepLabel, RepLabel]]:
+    """The column step and the row step of each edge with known endpoints."""
+    vertices = d.index.vertices
+    for e in d.edges:
+        s, t = vertices.get(e.source), vertices.get(e.target)
+        if s is not None and t is not None:
+            yield s.col, t.col
+            yield s.row, t.row
+
+
+def _cycle_block(labels: Sequence[RepLabel], codes: StepCodes | None = None) -> Block:
     """The canonical trace block of a closed Γ̃ label walk: one slot per step
     labels[i] -> labels[i + 1], cyclically.  A cycle, an edge walked forth
     and back, and the column or row trace of a diagram walk all take this
-    form; it is the one place where steps become trace slots."""
-    n = len(labels)
-    slots = []
-    for i in range(n):
-        a, b = labels[i], labels[(i + 1) % n]
-        edge = proj_edge(a, b)
-        slots.append(TraceSlot(edge, a == edge[0]))
-    return canonical_block(tuple(slots))
+    form; it is the one place where steps become trace slots.
+
+    The walk takes no step that stays put.  Its steps are canonicalised as
+    their ``codes`` (by default those of the walk's own steps), and only the
+    least rotation is turned back into slots.  A two-step walk needs no
+    search: its block is the adjoint slot, then the forward slot, of its
+    one edge."""
+    if codes is None:
+        codes = _step_codes(zip(labels, labels[1:] + labels[:1]))
+    code, slot = codes
+    if len(labels) == 2:
+        c = code[labels[0], labels[1]] & -2
+        return slot[c:c + 2]
+    walk = [code[step] for step in zip(labels, labels[1:] + labels[:1])]
+    dagger = tuple([c ^ 1 for c in reversed(walk)])
+    return tuple([slot[c] for c in least_rotation(tuple(walk), dagger)])
 
 
 def cycle_display(cycle: Cycle, algebra: FiniteAlgebra) -> str:
@@ -293,12 +343,13 @@ def _gauge_and_edge_terms(
         )
         for i, (series, k) in enumerate(gauge_lie_algebra(algebra).simple_factors)
     ]
+    codes = _diagram_step_codes(d)
     for edge in project(d).non_loop_edges:
         texts = {
             "edge": edge_display(edge, algebra),
             "over": ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ()))),
         }
-        blocks = (_cycle_block(edge),)
+        blocks = (_cycle_block(edge, codes),)
         for kind in (TermKind.SCALAR_MASS, TermKind.SCALAR_KINETIC):
             terms.append(
                 InvariantTerm(
@@ -333,6 +384,7 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     # column and a horizontal step the row.  Many walks share one such pair
     # of label walks, and only the first of them can give a new term.
     index = d.index
+    codes = _diagram_step_codes(d)
     walked: set = set()  # the label walk pairs met so far
     seen: set = set()
     for n_h, n_v, name in ((4, 0, "walk"), (2, 2, "mixed walk")):
@@ -350,7 +402,7 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
                 if labels in walked:
                     continue  # its term is in seen already
                 walked.add(labels)
-                term_blocks = tuple(sorted(_cycle_block(w) for w in labels if w))
+                term_blocks = tuple(sorted(_cycle_block(w, codes) for w in labels if w))
                 key = (TermKind.QUARTIC.value, term_blocks)
                 if key in seen:
                     continue
@@ -409,12 +461,13 @@ def _required_counterterms(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]
 
     # the strict 4-cycles, then the pairs of total length up to 4, which are
     # all pairs of 2-cycles
+    codes = _diagram_step_codes(d)
     cycles = diagram_cycles(d, 4)
     for c in cycles:
         if len(c) == 4:
-            keep((_cycle_block(c),), f"4-cycle {cycle_display(c, algebra)}")
+            keep((_cycle_block(c, codes),), f"4-cycle {cycle_display(c, algebra)}")
     two_cycles = tuple(c for c in cycles if len(c) == 2)
-    block_of = {c: _cycle_block(c) for c in two_cycles}
+    block_of = {c: _cycle_block(c, codes) for c in two_cycles}
     shown = {c: cycle_display(c, algebra) for c in two_cycles}
     for (c1, c2), ex in pair_exemptions(d, 4).items():
         b1, b2 = block_of[c1], block_of[c2]

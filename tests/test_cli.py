@@ -142,6 +142,17 @@ class TestExitCodes:
             ["validate", "--builtin", "nope"],
             ["validate", "--builtin", "ym:0"],
             ["validate", "--builtin", "sm:3"],
+            # integers are ASCII digits with an optional minus sign only
+            ["fmt", "--builtin", "ym:\u0662"],
+            ["fmt", "--builtin", "ym:\u0662", "--json"],
+            ["fmt", "--builtin", "ym:1_0"],
+            ["fmt", "--builtin", "ym: 2"],
+            ["powercount", "-n", "\u0668"],
+            ["powercount", "-n", "\u0668", "--json"],
+            ["powercount", "-n", " 8"],
+            ["powercount", "-n", "+8"],
+            ["powercount", "--profile", '{"L":0,"V":{"\u0665,0":1},"E_A":5}'],
+            ["powercount", "--profile", '{"L":0,"V":{"5, 0":1},"E_A":5}'],
             ["powercount", "-n", "5"],
             ["powercount", "-n", "2"],
             ["verdict", "--builtin", "sm", "-n", "7"],

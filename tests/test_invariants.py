@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,27 @@ class TestCanonicalBlockProperty:
         assert _cycle_block(walk) == canon
 
 
+class TestCodedBlockProperty:
+    """_cycle_block canonicalises a walk's step codes and turns only the
+    winner back into slots; the result is the canonical block of the walk's
+    slots, under any code table that holds its steps."""
+
+    LABELS = [RepLabel(i, c) for i in range(3) for c in (False, True)]
+    #: every step among the six labels: a walk's edges get ranks with gaps
+    CODES = invariants._step_codes(product(LABELS, repeat=2))
+
+    @given(_label_walks())
+    @settings(deadline=None, max_examples=300)
+    def test_equals_the_canonical_block_of_the_slots(self, walk):
+        canon = canonical_block(_chained_block(walk))
+        for codes in (self.CODES, None):
+            assert _cycle_block(walk, codes) == canon
+            for r in range(len(walk)):
+                rotated = walk[r:] + walk[:r]
+                assert _cycle_block(rotated, codes) == canon
+                assert _cycle_block(rotated[::-1], codes) == canon
+
+
 class TestActionTerms:
     def test_standard_model_terms(self):
         d = must_validate(builtin("sm"))
@@ -311,9 +333,9 @@ class TestActionTerms:
         calls = []
         original = invariants._cycle_block
 
-        def counted(labels):
+        def counted(labels, codes):
             calls.append(tuple(labels))
-            return original(labels)
+            return original(labels, codes)
 
         monkeypatch.setattr(invariants, "_cycle_block", counted)
         action_terms(d)
@@ -335,6 +357,8 @@ class TestBuiltBlocksAreCanonical:
     def assert_canonical(self, name, d):
         for term in action_terms(d) + required_counterterms(d):
             assert self.built_key(term) == canonical_key(term), (name, term.origin)
+            for block in term.blocks:
+                assert block == canonical_block(block), (name, term.origin)
 
     def test_corpus(self, corpus):
         rows, _ = corpus

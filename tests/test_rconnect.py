@@ -20,7 +20,7 @@ from kra import (
     ko_signs,
     project,
 )
-from kra.invariants import _collapse_at, _cycle_block
+from kra.invariants import _collapse_at, _cycle_block, _diagram_step_codes
 from kra.rconnect import pair_exemptions
 
 from conftest import (
@@ -99,9 +99,10 @@ def _assert_table_agrees(d) -> None:
     and names the shared trivial vertex exactly where the blocks collapse."""
     table = pair_exemptions(d, 4)
     assert tuple(table) == cycle_pairs(diagram_cycles(d, 4), 4)
+    codes = _diagram_step_codes(d)
     for (c1, c2), ex in table.items():
         assert ex == exemption_check(c1, c2, d)
-        b1, b2 = _cycle_block(c1), _cycle_block(c2)
+        b1, b2 = _cycle_block(c1, codes), _cycle_block(c2, codes)
         collapsed = collapse_blocks(b1, b2, d.algebra)
         assert (collapsed is not None) == (ex.clause == SHARED_TRIVIAL_VERTEX)
         if collapsed is not None:

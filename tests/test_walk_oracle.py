@@ -8,6 +8,8 @@ origin and coefficient factors.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import oracle_walks
@@ -15,6 +17,7 @@ from kra import TermKind, action_terms
 
 from conftest import FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram
 from test_lift_oracle import _relabelled
+from test_pair_oracle import one_sided_square
 
 
 def test_corpus_matches_the_oracle(corpus):
@@ -39,6 +42,19 @@ def test_fixture_matches_the_oracle(name):
 def test_family_matches_the_oracle(make):
     d = must_validate(make())
     assert action_terms(d) == oracle_walks.action_terms(d)
+
+
+@pytest.mark.parametrize("drop", [(), ("h3",)], ids=["one-sided-square", "without-h3"])
+def test_diagram_without_mirrors_matches_the_oracle(drop):
+    """The one-sided square has no mirror: the rows {c, e} of its mixed
+    walk's vertical steps are a Γ̃ edge only through the horizontal edge h3
+    in row f.  Without h3 they are no Γ̃ edge at all, and the row trace is
+    made from the row steps of the diagram's vertical edges alone."""
+    d = one_sided_square()
+    d = replace(d, edges=tuple(e for e in d.edges if e.id not in drop))
+    terms = action_terms(d)
+    assert any(t.origin.startswith("mixed walk ") for t in terms)
+    assert terms == oracle_walks.action_terms(d)
 
 
 def test_grid_has_both_quartic_kinds():
