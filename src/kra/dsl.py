@@ -25,7 +25,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
 from .diagram import (
@@ -78,7 +78,7 @@ _TOKEN_RE = re.compile(
 # separated by spaces, with no tab, comment or adjacent tokens (a matrix
 # literal still runs to the end of the line).  Each field group is the token
 # the tokenizer would read at the same column, so a line this takes parses
-# as the tokenizer and _LineParser parse it; any other line goes through them.
+# as the token path parses it; any other line goes through _parse_tokens.
 _LINE_PATTERN = rf"""
     \ *(?:
       (?P<vertex>vertex\ +(?P<vid>{_WORD})\ +(?P<vcol>{_WORD})\ +(?P<vrow>{_WORD})
@@ -260,32 +260,6 @@ class _ParserState:
     jmap: list[tuple[str, str]] = field(default_factory=list)
 
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            col = tok.column if tok else (self.tokens[-1].column + len(self.tokens[-1].text))
-            raise ParseError(SourceSpan(self.lineno, col), f"missing {what}", (what,))
-        self.pos += 1
-        return tok
-
-    def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(
-                SourceSpan(self.lineno, tok.column, len(tok.text)),
-                f"unexpected trailing {tok.text!r}",
-            )
-
-
 def parse(text: str) -> KrajewskiDiagram:
     """Parse source text into a (not yet validated) diagram."""
     state = _ParserState()
@@ -310,28 +284,102 @@ def parse(text: str) -> KrajewskiDiagram:
 
 def _parse_tokens(state: _ParserState, line: str, lineno: int) -> None:
     """Parse one line token by token: the path of every line that
-    _LINE_PATTERN does not take, and the one place that words a syntax error."""
+    _LINE_PATTERN does not take, and the only one that words a syntax error.
+    Its fields go to the same _LINE_FORMS builder as a match's."""
     tokens = _tokenize(line, lineno)
     if not tokens:
         return
     head = tokens[0]
-    if head.kind != "word":
-        raise ParseError(
-            SourceSpan(lineno, head.column, len(head.text)),
-            f"expected a directive, got {head.text!r}",
-            ("factor", "kodim", "families", "vertex", "edge", "jmap"),
-        )
-    parser = _LineParser(tokens, lineno)
-    parser.pos = 1
-    handler = _DIRECTIVES.get(head.text)
-    if handler is None:
-        raise ParseError(
-            SourceSpan(lineno, head.column, len(head.text)),
-            f"unknown directive {head.text!r}",
-            ("factor", "kodim", "families", "vertex", "edge", "jmap"),
-        )
-    handler(state, parser)
-    parser.done()
+    if head.kind != "word" or head.text not in _GRAMMAR:
+        message = "unknown directive" if head.kind == "word" else "expected a directive, got"
+        span = SourceSpan(lineno, head.column, len(head.text))
+        raise ParseError(span, f"{message} {head.text!r}", tuple(_GRAMMAR))
+    fields = _Fields(tokens, lineno, iter(_GRAMMAR[head.text]))
+    _LINE_FORMS[head.text](state, fields, lineno)
+    if fields.pos < len(tokens):
+        tok = tokens[fields.pos]
+        span = SourceSpan(lineno, tok.column, len(tok.text))
+        raise ParseError(span, f"unexpected trailing {tok.text!r}")
+
+
+# The fields of each directive in order, as the token path takes them: (the
+# _LINE_PATTERN group, or None for a token no builder reads; the token kind;
+# what a missing one is called, or None for the optional vertex sign).  The
+# label or matrix clause that may end an edge line is _Fields._operator.
+_GRAMMAR = {
+    "factor": (("fname", "word", "factor name"), ("fkind", "word", "field kind R|C|H"),
+               ("fsize", "int", "factor size")),
+    "kodim": (("kvalue", "int", "KO-dimension 0..7"),),
+    "families": (("nvalue", "int", "family count"),),
+    "vertex": (("vid", "word", "vertex id"), ("vcol", "word", "column rep"),
+               ("vrow", "word", "row rep"), ("vsign", "sign", None)),
+    "edge": (("eid", "word", "edge id"), ("esrc", "word", "source vertex"),
+             (None, "arrow", "'->'"), ("edst", "word", "target vertex")),
+    "jmap": (("jleft", "word", "vertex id"), (None, "darrow", "'<->'"),
+             ("jright", "word", "vertex id")),
+}
+
+
+@dataclass(slots=True)
+class _Fields:
+    """A tokenized line as a _LINE_FORMS builder reads it: ``f[group]`` and
+    ``f.start(group)`` answer as on a match of _LINE_PATTERN.  Each field is
+    taken from the tokens when the builder first asks for it, so a syntax
+    error is raised after the semantic checks of the fields before it."""
+
+    tokens: list[_Token]
+    lineno: int
+    steps: Iterator[tuple[str | None, str, str | None]]
+    pos: int = 1  # past the directive
+    found: dict[str | None, _Token | None] = field(default_factory=dict)
+
+    def __getitem__(self, group: str) -> str | None:
+        tok = self._field(group)
+        return None if tok is None else tok.text
+
+    def start(self, group: str) -> int:
+        return self._field(group).column - 1
+
+    def _field(self, group: str) -> _Token | None:
+        found = self.found
+        if group not in found:
+            for name, kind, what in self.steps:
+                found[name] = self._take(kind, what)
+                if name == group:
+                    break
+            else:
+                self._operator()
+        return found[group]
+
+    def _take(self, kind: str, what: str | None) -> _Token | None:
+        tokens = self.tokens
+        tok = tokens[self.pos] if self.pos < len(tokens) else None
+        if tok is not None and tok.kind == kind:
+            self.pos += 1
+            return tok
+        if what is None:
+            return None
+        column = tok.column if tok else tokens[-1].column + len(tokens[-1].text)
+        raise ParseError(SourceSpan(self.lineno, column), f"missing {what}", (what,))
+
+    def _operator(self) -> None:
+        """The edge's optional ``label`` or ``matrix`` clause."""
+        found = self.found
+        found["elabel"] = found["ematrix"] = None
+        if self.pos == len(self.tokens):
+            return
+        tok = self.tokens[self.pos]
+        if tok.kind != "word" or tok.text not in ("label", "matrix"):
+            raise ParseError(
+                SourceSpan(self.lineno, tok.column, len(tok.text)),
+                f"unexpected {tok.text!r} after edge endpoints",
+                ("label", "matrix"),
+            )
+        self.pos += 1
+        if tok.text == "label":
+            found["elabel"] = self._take("word", "operator label")
+        else:
+            found["ematrix"] = self._take("matrix", "matrix literal")
 
 
 # ---------------------------------------------------------------------------
@@ -415,98 +463,8 @@ def _require_vertex(state: _ParserState, text: str, column: int, lineno: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Token by token: one handler per directive, taking its fields in order
-
-
-def _directive_factor(state: _ParserState, p: _LineParser) -> None:
-    name = p.take("word", "factor name")
-    _new_id(state.factor_names, name.text, name.column, p.lineno, "factor")
-    kind_tok = p.take("word", "field kind R|C|H")
-    kind = _field_kind(kind_tok.text, kind_tok.column, p.lineno)
-    size_tok = p.take("int", "factor size")
-    size = _positive(size_tok.text, size_tok.column, p.lineno, "factor size")
-    state.factor_names[name.text] = len(state.factors)
-    state.factors.append(AlgebraFactor(size, kind))
-
-
-def _directive_kodim(state: _ParserState, p: _LineParser) -> None:
-    tok = p.take("int", "KO-dimension 0..7")
-    _set_kodim(state, tok.text, tok.column, p.lineno)
-
-
-def _directive_families(state: _ParserState, p: _LineParser) -> None:
-    tok = p.take("int", "family count")
-    _set_families(state, tok.text, tok.column, p.lineno)
-
-
-def _directive_vertex(state: _ParserState, p: _LineParser) -> None:
-    vid = p.take("word", "vertex id")
-    _new_id(state.vertex_ids, vid.text, vid.column, p.lineno, "vertex")
-    tok = p.take("word", "column rep")
-    col = _rep_label(state, tok.text, tok.column, p.lineno)
-    tok = p.take("word", "row rep")
-    row = _rep_label(state, tok.text, tok.column, p.lineno)
-    sign: int | None = None
-    tok = p.peek()
-    if tok is not None and tok.kind == "sign":
-        sign = 1 if tok.text == "+" else -1
-        p.pos += 1
-    state.vertex_ids.add(vid.text)
-    state.vertices.append(DiagramVertex(vid.text, col, row, sign))
-
-
-def _directive_edge(state: _ParserState, p: _LineParser) -> None:
-    eid = p.take("word", "edge id")
-    _new_id(state.edge_ids, eid.text, eid.column, p.lineno, "edge")
-    tok = p.take("word", "source vertex")
-    source = _require_vertex(state, tok.text, tok.column, p.lineno)
-    p.take("arrow", "'->'")
-    tok = p.take("word", "target vertex")
-    target = _require_vertex(state, tok.text, tok.column, p.lineno)
-    operator: SymbolicOperator | NumericOperator
-    tok = p.peek()
-    if tok is None:
-        operator = SymbolicOperator(eid.text)
-    elif tok.kind == "word" and tok.text == "label":
-        p.pos += 1
-        label = p.take("word", "operator label")
-        operator = SymbolicOperator(label.text)
-    elif tok.kind == "word" and tok.text == "matrix":
-        p.pos += 1
-        lit = p.take("matrix", "matrix literal")
-        operator = _parse_matrix(lit.text, p.lineno, lit.column)
-    else:
-        raise ParseError(
-            SourceSpan(p.lineno, tok.column, len(tok.text)),
-            f"unexpected {tok.text!r} after edge endpoints",
-            ("label", "matrix"),
-        )
-    state.edge_ids.add(eid.text)
-    state.edges.append(EdgePair(eid.text, source, target, operator))
-
-
-def _directive_jmap(state: _ParserState, p: _LineParser) -> None:
-    tok = p.take("word", "vertex id")
-    left = _require_vertex(state, tok.text, tok.column, p.lineno)
-    p.take("darrow", "'<->'")
-    tok = p.take("word", "vertex id")
-    right = _require_vertex(state, tok.text, tok.column, p.lineno)
-    state.jmap.append((left, right))
-
-
-_DIRECTIVES = {
-    "factor": _directive_factor,
-    "kodim": _directive_kodim,
-    "families": _directive_families,
-    "vertex": _directive_vertex,
-    "edge": _directive_edge,
-    "jmap": _directive_jmap,
-}
-
-
-# ---------------------------------------------------------------------------
-# One match per line: one builder per _LINE_PATTERN alternative, making the same
-# checks in the same order as the handler above
+# One builder per directive, reading a match of its _LINE_PATTERN alternative
+# or the _Fields of a tokenized line
 
 _SIGNS = {"+": 1, "-": -1}
 

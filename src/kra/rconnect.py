@@ -32,6 +32,7 @@ copied with ``_replace``.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -193,10 +194,15 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
     max_tuple = bound // 2
     for r in range(3, max_tuple + 1):
         for combo in combinations_with_replacement(cycles, r):
-            if sum(len(c) for c in combo) > bound:
+            if sum(map(len, combo)) > bound:
                 continue
-            # each pair in the tuple has total length at most bound - 2
-            if all(exemptions[pair].exempt for pair in combinations(combo, 2)):
+            # each pair in the tuple has total length at most bound - 2; its
+            # pairs are those of its distinct cycles, and (c, c) for each
+            # cycle c that repeats
+            counts = Counter(combo)
+            pairs = [(c, c) for c, k in counts.items() if k > 1]
+            pairs += combinations(counts, 2)
+            if all(exemptions[pair].exempt for pair in pairs):
                 continue
             cond3.append(tuple(combo))
 

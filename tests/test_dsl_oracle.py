@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import oracle_dsl
 from kra import ParseError, builtin, parse, serialize
+from kra.dsl import _GRAMMAR, _LINE_FORMS, _line_re
 
 from conftest import FIXTURE_NAMES, fixture_text, grid_diagram, path_diagram
 from test_lift_oracle import _relabelled
@@ -87,8 +88,10 @@ class TestKnownDocuments:
 
     def test_every_field_of_a_spaced_line(self):
         """Each field of each directive, declared or not, in lines spaced as
-        the one-match path takes them; the second copy of each line meets
-        its own declarations."""
+        the one-match path takes them, spelled with tabs and a comment for
+        the token path, and cut after each token, so that every missing
+        field follows every semantic check before it; the second copy of
+        each line meets its own declarations."""
         lines = [
             f"factor {name} {kind} {size}"
             for name in ("c9", "c1") for kind in ("C", "Q") for size in ("2", "0")
@@ -107,8 +110,20 @@ class TestKnownDocuments:
         ]
         lines += [f"jmap {left} <-> {right}" for left in ("a", "zz") for right in ("b", "zz")]
         for line in lines:
-            for spaced in (line, f"  {line.replace(' ', '   ')}  "):
-                assert_same_parse("\n".join(PRELUDE + [spaced, spaced]))
+            words = line.split(" ")
+            forms = [line, f"  {line.replace(' ', '   ')}  ", "\t".join(words) + "\t# comment"]
+            forms += [" ".join(words[:cut]) for cut in range(1, len(words))]
+            for form in forms:
+                assert_same_parse("\n".join(PRELUDE + [form, form]))
+
+
+def test_grammar_names_the_groups_of_the_line_pattern():
+    """The token path's grammar and _LINE_PATTERN name the same directives
+    and fields; the edge's label and matrix clause is read outside the
+    grammar."""
+    assert list(_GRAMMAR) == list(_LINE_FORMS)
+    named = {group for steps in _GRAMMAR.values() for group, _kind, _what in steps}
+    assert (named - {None}) | {"elabel", "ematrix"} == set(_line_re().groupindex) - set(_LINE_FORMS)
 
 
 # ---------------------------------------------------------------------------

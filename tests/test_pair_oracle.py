@@ -24,6 +24,7 @@ from kra import (
     KrajewskiDiagram,
     RepLabel,
     SymbolicOperator,
+    builtin,
     check_r_connected,
     counterterm_coverage,
     diagram_cycles,
@@ -63,6 +64,20 @@ def test_corpus(corpus):
 @pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in _family_diagrams()])
 def test_families_and_fixtures(d):
     _assert_same_pair_stages(d)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(must_validate(builtin(name)), id=name) for name in ("sm", "chain")]
+    + [pytest.param(grid_diagram(k), id=f"grid{k}") for k in (2, 3)]
+    + [pytest.param(path_diagram(5), id="path5")],
+)
+def test_condition_three_in_dimensions_five_to_eight(d):
+    """Tuples of three and four cycles: condition 3 decides each by the
+    pairs of its distinct cycles, the oracle by every pair of its members."""
+    copy = replace(d)
+    for m in range(5, 9):
+        assert repr(check_r_connected(d, m)) == repr(oracle_pairs.check_r_connected(copy, m))
 
 
 def test_pairs_that_share_no_cell_start_no_walk(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import pytest
 
 from kra import (
@@ -234,6 +236,15 @@ class TestBounds:
             and any(disp(c) == "(1~ 3)" for c in tup)
             for tup in report.cond3
         )
+
+    def test_condition_three_in_dimension_400_is_fast(self):
+        """Up to 200 cycles to a tuple: each tuple is decided by its few
+        distinct cycles, not by its r(r-1)/2 pairs of members."""
+        d = must_validate(builtin("sm"))
+        t0 = perf_counter()
+        report = check_r_connected(d, 400)
+        assert report.cond3 == ()
+        assert perf_counter() - t0 < 5.0
 
     def test_condition_three_empty_in_low_dimensions(self, corpus_reports):
         rows, _ = corpus_reports
