@@ -264,16 +264,15 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     return None
 
 
-def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple,
-                 floor: str | None = None):
+def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple):
     """Closed walks from ``start`` with len(cols) horizontal and len(rows)
     vertical steps, in the order of ``index.steps``; vertices may repeat.
 
     Horizontal step i must enter column cols[(i + 1) % len(cols)] and
     vertical step i row rows[(i + 1) % len(rows)]; a None label matches any.
-    With a ``floor``, the walk never enters a vertex id below it.  Yields
-    (vertex ids, edge ids, parts), where step i runs from vertex i to
-    vertex i + 1, cyclically.
+    Yields (vertex ids, edge ids, parts), where step i runs from vertex i to
+    vertex i + 1, cyclically.  ``lift_pair`` takes the first walk of each
+    labelled search as its witness.
 
     One depth-first loop over an explicit stack, with no closure, so that
     nothing keeps the index alive past the call.  The last step is taken
@@ -286,8 +285,6 @@ def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple,
         return
     if last == 0:
         return  # one step back into start is a self-loop, which is a D0 step
-    if floor is not None and start < floor:
-        return  # the closing step would enter a vertex below the floor
     steps, vertices = index.steps, index.vertices
     delta, j_delta_j = DiracPart.DELTA, DiracPart.J_DELTA_J
     # the closing step is horizontal step n - 1, which must enter column
@@ -300,8 +297,6 @@ def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple,
     while stack:
         frame, i, j = stack[-1]
         for eid, nxt, part in frame:
-            if floor is not None and nxt < floor:
-                continue
             if part is delta and i < n:
                 want = cols[(i + 1) % n]
                 if want is not None and want != vertices[nxt].col:

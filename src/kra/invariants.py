@@ -41,10 +41,12 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
-from .diagram import DiracPart, KrajewskiDiagram, SymbolicOperator
+from .diagram import (
+    DiagramIndex, DiagramVertex, DiracPart, KrajewskiDiagram, SymbolicOperator,
+)
 from .exactlin import GaussRational, span_rank
 from .graphs import (
-    Cycle, ProjEdge, closed_walks, diagram_cycles, least_rotation, proj_edge, project,
+    Cycle, ProjEdge, diagram_cycles, least_rotation, proj_edge, project,
 )
 from .rconnect import SHARED_TRIVIAL_VERTEX, pair_exemptions, shared_trivial_vertex
 
@@ -375,50 +377,101 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
         "prop. to sum_p |M_e^p|^2, e in {{{over}}}",
         "back-and-forth walks over {edge}",
     )
-
-    # Walks are enumerated only from their least vertex (floor=start).  The
-    # first walk with a given term starts at the least vertex of any walk with
-    # that term, so the pruned walks are never the ones kept.  A walk's
-    # horizontal steps trace the columns at their sources, and its vertical
-    # steps (read through j) the rows at theirs: a vertical step keeps the
-    # column and a horizontal step the row.  Many walks share one such pair
-    # of label walks, and only the first of them can give a new term.
-    index = d.index
+    # Each closed four-step walk is joined from two halves at its least
+    # vertex, in the order in which ``closed_walks`` would yield it from
+    # there.  The first walk with a given term starts at the least vertex of
+    # any walk with that term, so the walks left out are never the ones
+    # kept; nor is a walk whose reversal, which has its term, came first.  A
+    # walk's horizontal steps trace the columns at their sources, and its
+    # vertical steps (read through j) the rows at theirs.  Many walks share
+    # one such pair of label walks, and only the first of them can give a
+    # new term.  The two kinds share no term, so one pass makes both lists.
+    walks: list[InvariantTerm] = []  # four horizontal steps
+    mixed: list[InvariantTerm] = []  # two horizontal and two vertical steps
     codes = _diagram_step_codes(d)
     walked: set = set()  # the label walk pairs met so far
     seen: set = set()
-    for n_h, n_v, name in ((4, 0, "walk"), (2, 2, "mixed walk")):
-        cols, rows = (None,) * n_h, (None,) * n_v
-        for start in sorted(index.steps):
-            for vertices, edge_ids, parts in closed_walks(index, start, cols, rows, floor=start):
-                h, v = [], []  # every step is horizontal or vertical
-                for vid, part in zip(vertices, parts):
-                    cell = index.vertices[vid]
-                    if part is DiracPart.DELTA:
-                        h.append(cell.col)
-                    else:
-                        v.append(cell.row)
-                labels = (tuple(h), tuple(v))
-                if labels in walked:
-                    continue  # its term is in seen already
-                walked.add(labels)
-                term_blocks = tuple(sorted(_cycle_block(w, codes) for w in labels if w))
-                key = (TermKind.QUARTIC.value, term_blocks)
-                if key in seen:
-                    continue
-                seen.add(key)
-                coeff, factors = _quartic_coefficient(edge_ids)
-                terms.append(
-                    InvariantTerm(
-                        kind=TermKind.QUARTIC,
-                        blocks=term_blocks,
-                        coefficient=coeff,
-                        origin=f"{name} {_walk_display(vertices)}",
-                        coefficient_factors=factors,
+    kinds = ((walks, 4, "walk"), (mixed, 2, "mixed walk"))
+    for start, halves, back in _quartic_halves(d.index):
+        for first, e2, b, h, cols, rows in halves:
+            e1, a = first
+            for out, n_h, name in kinds:
+                for e3, c, e4, last, back_cols, back_rows in back.get((b, n_h - h), ()):
+                    if last < first:
+                        continue  # the reversed walk came first, with this term
+                    labels = (cols + back_cols, rows + back_rows)
+                    if labels in walked:
+                        continue  # its term is in seen already
+                    walked.add(labels)
+                    term_blocks = tuple(sorted(_cycle_block(w, codes) for w in labels if w))
+                    key = (TermKind.QUARTIC.value, term_blocks)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    coeff, factors = _quartic_coefficient((e1, e2, e3, e4))
+                    out.append(
+                        InvariantTerm(
+                            kind=TermKind.QUARTIC,
+                            blocks=term_blocks,
+                            coefficient=coeff,
+                            origin=f"{name} {_walk_display((start, a, b, c))}",
+                            coefficient_factors=factors,
+                        )
                     )
-                )
+    return tuple(terms + walks + mixed)
 
-    return tuple(terms)
+
+def _quartic_halves(index: DiagramIndex):
+    """For each start s in id order: s, its forward halves and its return
+    halves, the two-step pieces every quartic walk from s is joined from.
+
+    A closed four-step walk s -> a -> b -> c -> s whose vertices are all at
+    least s is the forward half s -> a -> b followed by the return half
+    b -> c -> s, the reversal of a forward half that ends in b; each step is
+    horizontal or vertical.  A forward half is ((e1, a), e2, b, h, cols,
+    rows), listed in the order of ``index.steps``, where h counts its
+    horizontal steps and cols and rows are the labels at the sources of its
+    horizontal and vertical steps.  ``back[b, h]`` lists the return halves
+    into b with h horizontal steps as (e3, c, e4, (e4, c), cols, rows),
+    sorted, which is the order in which ``closed_walks`` takes those steps.
+    So for each forward half in order, each return half in order, the walks
+    come in the order of ``closed_walks(index, s, …)`` kept to vertices of
+    id s or more."""
+    vertices = index.vertices
+    # each horizontal or vertical step v -> w: (edge, w, what it adds at v,
+    # what its reversal adds at w)
+    flat = {
+        v: [
+            (eid, w, _step_label(vertices[v], part), _step_label(vertices[w], part))
+            for eid, w, part in out
+            if part is DiracPart.DELTA or part is DiracPart.J_DELTA_J
+        ]
+        for v, out in index.steps.items()
+    }
+    for start in sorted(flat):
+        halves, back = [], {}
+        for e1, a, u1, ua in flat[start]:
+            if a < start:
+                continue
+            first = (e1, a)
+            for e2, b, u2, ub in flat[a]:
+                if b < start:
+                    continue
+                h = u1[2] + u2[2]
+                halves.append((first, e2, b, h, u1[0] + u2[0], u1[1] + u2[1]))
+                back.setdefault((b, h), []).append((e2, a, e1, first, ub[0] + ua[0], ub[1] + ua[1]))
+        for returns in back.values():
+            returns.sort()
+        yield start, halves, back
+
+
+def _step_label(source: DiagramVertex, part: DiracPart) -> tuple[tuple, tuple, int]:
+    """What a horizontal or vertical step adds to its walk's label walks:
+    (columns, rows, 1 if horizontal), with the column at its source if it is
+    horizontal and the row there if it is vertical."""
+    if part is DiracPart.DELTA:
+        return (source.col,), (), 1
+    return (), (source.row,), 0
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ copied with ``_replace``.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -190,20 +188,59 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
                 witness = lift_pair(c2, c1, d)
         cond2.append(PairLift(pair, ex, witness))
 
-    cond3 = []
-    max_tuple = bound // 2
-    for r in range(3, max_tuple + 1):
-        for combo in combinations_with_replacement(cycles, r):
-            if sum(map(len, combo)) > bound:
-                continue
-            # each pair in the tuple has total length at most bound - 2; its
-            # pairs are those of its distinct cycles, and (c, c) for each
-            # cycle c that repeats
-            counts = Counter(combo)
-            pairs = [(c, c) for c, k in counts.items() if k > 1]
-            pairs += combinations(counts, 2)
-            if all(exemptions[pair].exempt for pair in pairs):
-                continue
-            cond3.append(tuple(combo))
+    cond3 = _condition_three(cycles, exemptions, bound)
+    return RConnectReport(m, strict_bounds, cond1, tuple(cond2), cond3)
 
-    return RConnectReport(m, strict_bounds, cond1, tuple(cond2), tuple(cond3))
+
+def _condition_three(
+    cycles: tuple[Cycle, ...], exemptions: Mapping[tuple[Cycle, Cycle], Exemption], bound: int
+) -> tuple[tuple[Cycle, ...], ...]:
+    """The tuples of three or more cycles, of total length at most bound,
+    with a pair that is not exempt: by size, each size in the order of
+    ``combinations_with_replacement(cycles, r)``.
+
+    One depth-first walk over the nondecreasing index tuples visits each
+    tuple once, after its prefix, so that the tuples of each size come in
+    that order.  Each pair in a tuple has total length at most bound - 2,
+    so the table holds it.  A member is checked when it is added: against
+    each distinct member before it, or against itself on a repeat.  Cycles
+    are sorted by length, so a prefix stops growing at the first cycle that
+    does not fit."""
+    if bound < 6:
+        return ()  # three cycles have total length at least 6
+    pos = {c: i for i, c in enumerate(cycles)}
+    exempt_with: list[set[int]] = [set() for _ in cycles]  # i -> the j >= i it is exempt with
+    for (c1, c2), ex in exemptions.items():
+        if ex.exempt:
+            exempt_with[pos[c1]].add(pos[c2])
+    lengths = [len(c) for c in cycles]
+    found: list[list[tuple[Cycle, ...]]] = [[] for _ in range(bound // 2 + 1)]
+    members: list[int] = []  # the tuple, as indices into cycles
+    distinct: list[int] = []  # its members without repeats
+    # the total length of the tuple and whether all its pairs are exempt, for
+    # the empty tuple and then for each prefix of members
+    frames = [(0, True)]
+    nxt = 0  # the least index the next member may take
+    while True:
+        size, ok = frames[-1]
+        if nxt < len(cycles) and size + lengths[nxt] <= bound:
+            repeat = bool(members) and members[-1] == nxt
+            if ok:
+                ok = nxt in exempt_with[nxt] if repeat else all(
+                    nxt in exempt_with[i] for i in distinct
+                )
+            members.append(nxt)
+            if not repeat:
+                distinct.append(nxt)
+            frames.append((size + lengths[nxt], ok))
+            if not ok and len(members) >= 3:
+                found[len(members)].append(tuple(cycles[i] for i in members))
+            continue
+        if not members:
+            break
+        last = members.pop()
+        frames.pop()
+        if not members or members[-1] != last:
+            distinct.pop()
+        nxt = last + 1
+    return tuple(t for by_size in found for t in by_size)

@@ -306,29 +306,37 @@ class TestActionTerms:
 
     def test_each_label_walk_is_made_into_blocks_once(self, monkeypatch):
         """On grid k=3 the quartic walks from their least vertex are 20
-        four-step and 63 mixed walks, and they trace far fewer distinct
-        (columns, rows) label walks.  ``_cycle_block`` runs once per Γ̃ edge
-        and once per label walk of each distinct pair: 44 calls, where one
-        per walk made 149."""
+        four-step and 63 mixed walks.  The join leaves out the 18 mixed
+        walks whose reversal came first, and the 65 it keeps trace far
+        fewer distinct (columns, rows) label walks.  ``_cycle_block`` runs
+        once per Γ̃ edge and once per label walk of each distinct pair: 44
+        calls, where one per walk made 149."""
         d = must_validate(grid_diagram(3))
         index = d.index
         want = [tuple(e) for e in project(d).non_loop_edges]
-        walks, pairs = [], set()
-        for n_h, n_v in ((4, 0), (2, 2)):
-            found = [
-                walk
-                for start in sorted(index.steps)
-                for walk in closed_walks(index, start, (None,) * n_h, (None,) * n_v, floor=start)
-            ]
-            walks.append(len(found))
-            for vertices, _edges, parts in found:
+        walks, pairs = [0, 0], set()
+        for start in sorted(index.steps):
+            # the join's walks from start: vertices at least start, none
+            # whose reversal starts with a smaller step, by forward half
+            # (e1, a, e2, b), and for each half the four-step walks first
+            found = []
+            for kind, (n_h, n_v) in enumerate(((4, 0), (2, 2))):
+                for vertices, edges, parts in closed_walks(
+                    index, start, (None,) * n_h, (None,) * n_v
+                ):
+                    if min(vertices) == start and (edges[3], vertices[3]) >= (edges[0], vertices[1]):
+                        half = (edges[0], vertices[1], edges[1], vertices[2])
+                        found.append((half, kind, vertices, parts))
+            found.sort(key=lambda f: f[0])
+            for _half, kind, vertices, parts in found:
+                walks[kind] += 1
                 cells = [(index.vertices[vid], part) for vid, part in zip(vertices, parts)]
                 h = tuple(c.col for c, part in cells if part is DiracPart.DELTA)
                 v = tuple(c.row for c, part in cells if part is not DiracPart.DELTA)
                 if (h, v) not in pairs:
                     pairs.add((h, v))
                     want.extend(w for w in (h, v) if w)
-        assert walks == [20, 63]
+        assert walks == [20, 45]
 
         calls = []
         original = invariants._cycle_block

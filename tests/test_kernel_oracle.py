@@ -2,9 +2,8 @@
 
 ``oracle_kernel`` keeps ``closed_walks`` as it was before it closed a walk
 on its last step and ran as one loop.  Both must yield the same
-``(vertex ids, edge ids, parts)`` triples in the same order, in the two
-forms ``kra`` calls the kernel in: label-free from each vertex with
-``floor=start``, as ``action_terms`` walks the quartic patterns, and
+``(vertex ids, edge ids, parts)`` triples in the same order, in two forms:
+label-free from each vertex, every closed walk of the quartic patterns, and
 labelled with the rotations of a cycle pair from the cells where they meet,
 as ``lift_pair`` searches.  Every walk is compared, not just the first.
 """
@@ -21,12 +20,13 @@ from test_lift_oracle import _relabelled
 
 
 def _kernel_calls(d):
-    """(start, cols, rows, floor) of every kernel call a full analysis of d
-    makes, with the labelled calls after a ``lift_pair`` found its witness."""
+    """(start, cols, rows) of the label-free quartic searches from every
+    vertex, then of every kernel call a full analysis of d makes, with the
+    labelled calls after a ``lift_pair`` found its witness."""
     index = d.index
     for n_h, n_v in ((4, 0), (2, 2)):
         for start in sorted(index.steps):
-            yield start, (None,) * n_h, (None,) * n_v, start
+            yield start, (None,) * n_h, (None,) * n_v
     for p1, p2 in cycle_pairs(diagram_cycles(d, 4), 4):
         for g1, g2 in ((p1, p2), (p2, p1)):
             for b_seq in (g2, g2[::-1]):
@@ -35,17 +35,17 @@ def _kernel_calls(d):
                     for r2 in range(len(b_seq)):
                         b_rot = b_seq[r2:] + b_seq[:r2]
                         for start in index.cells.get((a_rot[0], b_rot[0]), ()):
-                            yield start, a_rot, b_rot, None
+                            yield start, a_rot, b_rot
 
 
 def _assert_same_walks(d) -> int:
     """Compare every call; return the number of walks yielded."""
     index = d.index
     walks = 0
-    for start, cols, rows, floor in _kernel_calls(d):
-        got = list(closed_walks(index, start, cols, rows, floor=floor))
-        want = list(oracle_kernel.closed_walks(index, start, cols, rows, floor=floor))
-        assert got == want, (start, cols, rows, floor)
+    for start, cols, rows in _kernel_calls(d):
+        got = list(closed_walks(index, start, cols, rows))
+        want = list(oracle_kernel.closed_walks(index, start, cols, rows, floor=None))
+        assert got == want, (start, cols, rows)
         walks += len(got)
     return walks
 
@@ -78,7 +78,6 @@ def test_short_and_empty_step_counts():
     index = d.index
     for start in sorted(index.steps):
         for cols, rows in (((), ()), ((None,), ()), ((), (None,)), ((None,), (None,))):
-            for floor in (None, start, "g9"):
-                got = list(closed_walks(index, start, cols, rows, floor=floor))
-                want = list(oracle_kernel.closed_walks(index, start, cols, rows, floor=floor))
-                assert got == want, (start, cols, rows, floor)
+            got = list(closed_walks(index, start, cols, rows))
+            want = list(oracle_kernel.closed_walks(index, start, cols, rows, floor=None))
+            assert got == want, (start, cols, rows)

@@ -246,6 +246,16 @@ class TestBounds:
         assert report.cond3 == ()
         assert perf_counter() - t0 < 5.0
 
+    def test_condition_three_in_dimension_1000_is_fast(self):
+        """About 125,000 tuples of up to 500 cycles: each is decided as its
+        last member is added, in O(distinct cycles), not by counting its
+        members."""
+        d = must_validate(builtin("sm"))
+        t0 = perf_counter()
+        report = check_r_connected(d, 1000)
+        assert report.cond3 == ()
+        assert perf_counter() - t0 < 2.0
+
     def test_condition_three_empty_in_low_dimensions(self, corpus_reports):
         rows, _ = corpus_reports
         for name, _d, _meta, report, _cov in rows:
