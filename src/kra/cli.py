@@ -615,6 +615,10 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as exc:  # argparse --help/--version
         return 0 if exc.code in (None, 0) else int(exc.code)
+    except Exception as exc:  # a fault of kra itself: one line, no traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"kra: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

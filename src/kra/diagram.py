@@ -172,11 +172,16 @@ class DiracPart(enum.Enum):
     J_DELTA_J = "JDeltaJ"
 
 
+# the members as module constants: reading an enum member through its class
+# costs a descriptor call, and the index tables classify every edge
+_D0, _DELTA, _J_DELTA_J = DiracPart.D0, DiracPart.DELTA, DiracPart.J_DELTA_J
+
+
 def _dirac_part(s: DiagramVertex, t: DiagramVertex) -> DiracPart | None:
     """The part of an edge s–t; None for a diagonal edge."""
     if s.row == t.row:
-        return DiracPart.D0 if s.col == t.col else DiracPart.DELTA
-    return DiracPart.J_DELTA_J if s.col == t.col else None
+        return _D0 if s.col == t.col else _DELTA
+    return _J_DELTA_J if s.col == t.col else None
 
 
 def edge_part(d: KrajewskiDiagram, edge: EdgePair) -> DiracPart:
@@ -217,18 +222,24 @@ class DiagramIndex:
         index._stages = {}
         return index
 
-    def _known_edges(self):
-        """(edge, source, target, part; None if diagonal) for known endpoints."""
+    @cached_property
+    def _known_edges(self) -> tuple[tuple[EdgePair, DiagramVertex, DiagramVertex,
+                                          DiracPart | None], ...]:
+        """(edge, source, target, part; None if diagonal) for known endpoints,
+        classified once for the tables built from them."""
+        vertices = self.vertices
+        out = []
         for e in self._edges:
-            s, t = self.vertices.get(e.source), self.vertices.get(e.target)
+            s, t = vertices.get(e.source), vertices.get(e.target)
             if s is not None and t is not None:
-                yield e, s, t, _dirac_part(s, t)
+                out.append((e, s, t, _dirac_part(s, t)))
+        return tuple(out)
 
     @cached_property
     def steps(self) -> dict[str, tuple[tuple[str, str, DiracPart | None], ...]]:
         """vertex id -> sorted (edge id, other endpoint, part)."""
         out: dict[str, list] = {vid: [] for vid in self.vertices}
-        for e, _s, _t, part in self._known_edges():
+        for e, _s, _t, part in self._known_edges:
             out[e.source].append((e.id, e.target, part))
             if e.target != e.source:
                 out[e.target].append((e.id, e.source, part))
@@ -268,12 +279,34 @@ class DiagramIndex:
         }
 
     @cached_property
+    def edge_tables(self) -> tuple[
+        dict[tuple[RepLabel, RepLabel], frozenset[RepLabel]],
+        dict[tuple[RepLabel, RepLabel], frozenset[RepLabel]],
+    ]:
+        """(column edge (lo, hi) -> the rows holding a horizontal edge over
+        it, row edge (lo, hi) -> the columns holding a vertical edge over
+        it)."""
+        rows: dict[tuple[RepLabel, RepLabel], set[RepLabel]] = {}
+        cols: dict[tuple[RepLabel, RepLabel], set[RepLabel]] = {}
+        for _e, s, t, part in self._known_edges:
+            if part is _DELTA:
+                key = (s.col, t.col) if s.col <= t.col else (t.col, s.col)
+                rows.setdefault(key, set()).add(s.row)
+            elif part is _J_DELTA_J:
+                key = (s.row, t.row) if s.row <= t.row else (t.row, s.row)
+                cols.setdefault(key, set()).add(s.col)
+        return (
+            {key: frozenset(held) for key, held in rows.items()},
+            {key: frozenset(held) for key, held in cols.items()},
+        )
+
+    @cached_property
     def horizontal(self) -> dict[tuple[RepLabel, RepLabel], list[tuple[EdgePair, bool]]]:
         """projected edge (lo, hi) -> its horizontal edge pairs in diagram
         order, each with whether it runs from lo to hi."""
         out: dict[tuple[RepLabel, RepLabel], list[tuple[EdgePair, bool]]] = {}
-        for e, s, t, part in self._known_edges():
-            if part is DiracPart.DELTA:
+        for e, s, t, part in self._known_edges:
+            if part is _DELTA:
                 key = (s.col, t.col) if s.col <= t.col else (t.col, s.col)
                 out.setdefault(key, []).append((e, s.col == key[0]))
         return out

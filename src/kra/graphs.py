@@ -116,31 +116,38 @@ def enumerate_cycles(g: ProjectedGraph, max_len: int) -> tuple[Cycle, ...]:
     Loop edges never participate; a single non-loop edge traversed forth and
     back is the minimal cycle.  Deterministic order: by length, then by the
     canonical vertex sequence.
+
+    Each cycle of three or more vertices is found once, from its least
+    vertex s: one depth-first loop over an explicit stack per start enters
+    only vertices greater than s, and keeps a closed path only when its
+    second vertex is less than its last, which leaves out the reversal.
+    That path is already the canonical sequence.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    found: set[Cycle] = set()
-    for a, b in g.non_loop_edges:
-        found.add(canonical_cycle((a, b)))
+    found: list[Cycle] = list(g.non_loop_edges)  # each (lo, hi) is canonical
     if max_len >= 3:
+        neighbors = g._neighbors
         for start in g.vertices:
-            _extend_cycles(g, [start], max_len, found)
+            first = neighbors.get(start, ())
+            if len(first) < 2 or first[-2] < start:
+                continue  # a cycle through its least vertex uses two neighbours above it
+            path, on_path = [start], {start}
+            stack = [iter(first)]
+            while stack:
+                for nxt in stack[-1]:
+                    if nxt == start:
+                        if len(path) >= 3 and path[1] < path[-1]:
+                            found.append(tuple(path))
+                    elif nxt > start and nxt not in on_path and len(path) < max_len:
+                        path.append(nxt)
+                        on_path.add(nxt)
+                        stack.append(iter(neighbors.get(nxt, ())))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(path.pop())
     return tuple(sorted(found, key=lambda c: (len(c), c)))
-
-
-def _extend_cycles(g: ProjectedGraph, path: list[RepLabel], max_len: int,
-                   found: set[Cycle]) -> None:
-    """Add to ``found`` every cycle of 3..max_len vertices through ``path``.
-
-    Module-level, not a closure: a recursive closure is a reference cycle,
-    which would keep Γ̃ alive past the call."""
-    for nxt in g.neighbors(path[-1]):
-        if nxt == path[0] and len(path) >= 3:
-            found.add(canonical_cycle(tuple(path)))
-        if nxt not in path and len(path) < max_len:
-            path.append(nxt)
-            _extend_cycles(g, path, max_len, found)
-            path.pop()
 
 
 def diagram_cycles(d: KrajewskiDiagram, max_len: int) -> tuple[Cycle, ...]:
@@ -193,7 +200,9 @@ def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     starts = sorted(vid for col in set(target) for vid in index.columns.get(col, ()))
     # a window from r that covers the word closes unless it ends on target[r]
     closes = [k == 1 or target[r - 1] != target[r] for r in range(k)]
-    for length in range(2, len(vertices) + 1):
+    # a lift's trace grows by one per column change and must reach k to
+    # close, so no lift has fewer than k vertices
+    for length in range(max(2, k), len(vertices) + 1):
         reached = False  # whether any admissible path has `length` vertices
         for start in starts:
             # one frame per path vertex: its neighbour iterator, the window
@@ -239,16 +248,12 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     may revisit vertices (a figure-eight through a shared vertex is a valid
     lift).  Horizontal steps fix the row, so their column trace — read
     cyclically — must reproduce g1; vertical steps fix the column, so their
-    row trace must reproduce g2 in either orientation.
+    row trace must reproduce g2 in either orientation.  A pair is refused
+    before any search when one of its steps has no edge over it in the
+    rows or columns of the other cycle (``_edges_held``).
     """
     index = d.index
-    # every walk starts in a cell (column of g1, row of g2)
-    column_rows = index.column_rows
-    for col in g1:
-        rows = column_rows.get(col)
-        if rows is not None and not rows.isdisjoint(g2):
-            break
-    else:
+    if not _edges_held(g1, g2, index):
         return None
     g2 = tuple(g2)
     # a cycle of at most two labels read backwards is one of its rotations,
@@ -262,6 +267,33 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
                     for vertices, edges, _parts in closed_walks(index, start, a_rot, b_rot):
                         return LiftWitness(vertices, edges)
     return None
+
+
+_EMPTY: frozenset = frozenset()
+
+
+def _edges_held(g1: Cycle, g2: Cycle, index: DiagramIndex) -> bool:
+    """Whether every step of g1 has a horizontal edge in some row of g2, and
+    every step of g2 a vertical edge in some column of g1.
+
+    A lift of the pair has one such edge for each step: the walk never
+    leaves the rows of g2 and the columns of g1.  So the pair has no lift
+    when this is false, and in particular when no cell (column of g1, row
+    of g2) is occupied."""
+    if not g1 or not g2:
+        return False  # a walk starts in a cell (column of g1, row of g2)
+    rows_of, cols_of = index.edge_tables
+    return _steps_held(g1, rows_of, g2) and _steps_held(g2, cols_of, g1)
+
+
+def _steps_held(cycle: Cycle, table: Mapping, other: Cycle) -> bool:
+    """Whether ``table`` holds each step of ``cycle`` at a label of ``other``."""
+    prev = cycle[-1]
+    for label in cycle:
+        if table.get(proj_edge(prev, label), _EMPTY).isdisjoint(other):
+            return False
+        prev = label
+    return True
 
 
 def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple):

@@ -133,6 +133,19 @@ def path_diagram(n: int) -> KrajewskiDiagram:
     return KrajewskiDiagram(algebra, 0, tuple(vertices), tuple(edges), tuple(jmap))
 
 
+def ring_diagram(n: int) -> KrajewskiDiagram:
+    """``path_diagram(n)`` closed by the edges p_n → p0 and q_n → p0: Γ̃ is
+    one cycle through all n + 1 column labels, and the diagram cycle
+    p0 → p1 → … → p_n lifts it."""
+    d = path_diagram(n)
+    closing = SymbolicOperator(f"y{n}")
+    edges = d.edges + (
+        EdgePair(f"h{n}", f"p{n}", "p0", closing),
+        EdgePair(f"v{n}", f"q{n}", "p0", closing),
+    )
+    return KrajewskiDiagram(d.algebra, d.kodim, d.vertices, edges, d.jmap)
+
+
 # ---------------------------------------------------------------------------
 # Random design diagrams with a computable expected verdict
 

@@ -194,6 +194,28 @@ class TestExitCodes:
                 assert (code, out) == (3, ""), (cmd, fmt)
                 assert err == f"validation failed\n  operator-shape: {detail}\n", (cmd, fmt)
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_an_internal_error_is_one_line_with_exit_seventy(self, monkeypatch, fmt):
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("stage broke\non two lines")
+
+        monkeypatch.setattr(kra.cli, "check_r_connected", broken)
+        code, out, err = run("check-rconnect", "--builtin", "sm", *fmt)
+        assert (code, out) == (70, "")
+        assert err == "kra: internal error: RuntimeError: stage broke on two lines\n"
+        assert "Traceback" not in err
+
+    def test_a_base_exception_is_not_caught(self, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        def stopped(*_args, **_kwargs):
+            raise Stop()
+
+        monkeypatch.setattr(kra.cli, "check_r_connected", stopped)
+        with pytest.raises(Stop):
+            run("check-rconnect", "--builtin", "sm")
+
     def test_version_and_help(self):
         code, out, _ = run("--version")
         assert code == 0 and out.strip() == f"kra {kra.__version__}"

@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kra import (
+    DiagramVertex,
+    EdgePair,
+    FactorKind,
+    FiniteAlgebra,
+    KrajewskiDiagram,
     ProjectedGraph,
     RepLabel,
+    SymbolicOperator,
     builtin,
     canonical_cycle,
+    check_r_connected,
     cycle_pairs,
     diagram_cycles,
     enumerate_cycles,
@@ -28,6 +36,7 @@ from conftest import (
     cyclic_equal,
     must_validate,
     path_diagram,
+    ring_diagram,
     square_diagram,
     verify_cycle_witness,
     verify_pair_witness,
@@ -39,6 +48,31 @@ V = [RepLabel(i) for i in range(8)]
 def graph(n: int, *edges: tuple[int, int]) -> ProjectedGraph:
     es = tuple(sorted({proj_edge(V[a], V[b]) for a, b in edges}))
     return ProjectedGraph(tuple(V[:n]), es, {})
+
+
+def split_cell_diagram() -> KrajewskiDiagram:
+    """M2(C)^4 with labels a, b, c, d and two vertices u, w in the cell
+    (a, c): u carries the horizontal edge to p = (b, c), w the vertical edge
+    to r = (a, d), and the mirror repeats this in cell (c, a).  Γ̃ has the
+    2-cycles (a, b) and (c, d).  Their pair passes the edge test, since the
+    step a–b is held in row c and the step c–d in column a, but a walk
+    cannot get from u to w, so the pair has no lift."""
+    algebra = FiniteAlgebra.of(*[(2, FactorKind.COMPLEX)] * 4)
+    a, b, c, d = (RepLabel(i) for i in range(4))
+    vertices = (
+        DiagramVertex("u", a, c), DiagramVertex("w", a, c),
+        DiagramVertex("p", b, c), DiagramVertex("r", a, d),
+        DiagramVertex("u'", c, a), DiagramVertex("w'", c, a),
+        DiagramVertex("p'", c, b), DiagramVertex("r'", d, a),
+    )
+    edges = (
+        EdgePair("h", "u", "p", SymbolicOperator("x")),
+        EdgePair("v", "w", "r", SymbolicOperator("y")),
+        EdgePair("h'", "w'", "r'", SymbolicOperator("y")),
+        EdgePair("v'", "u'", "p'", SymbolicOperator("x")),
+    )
+    jmap = (("u", "u'"), ("w", "w'"), ("p", "p'"), ("r", "r'"))
+    return KrajewskiDiagram(algebra, 1, vertices, edges, jmap)
 
 
 def brute_force_cycles(g: ProjectedGraph, max_len: int) -> set:
@@ -174,6 +208,31 @@ class TestEnumerateCycles:
             assert set(enumerate_cycles(g, 7)) == brute_force_cycles(g, 7)
 
 
+class TestRing:
+    """The ring: Γ̃ is one cycle through every column label.  Times are
+    generous bounds, in the style of the acceptance criteria."""
+
+    def test_the_long_cycle_lifts_fast(self):
+        d = must_validate(ring_diagram(151))
+        (cycle,) = [c for c in diagram_cycles(d, 152) if len(c) == 152]
+        t0 = perf_counter()
+        w = lift_cycle(cycle, d)
+        assert perf_counter() - t0 < 0.1
+        assert w is not None and len(w) == 152
+        verify_cycle_witness(d, w, cycle)
+
+    def test_cycles_of_a_long_ring_are_enumerated_fast(self):
+        d = must_validate(ring_diagram(301))
+        t0 = perf_counter()
+        cycles = diagram_cycles(d, 310)
+        assert perf_counter() - t0 < 0.5
+        assert len(cycles) == 303 and len(cycles[-1]) == 302  # 302 edges and the ring
+
+    def test_no_recursion_limit_on_a_very_long_cycle(self):
+        cycles = enumerate_cycles(project(ring_diagram(1101)), 1200)
+        assert len(cycles) == 1103 and cycles[-1] == tuple(RepLabel(i) for i in range(1102))
+
+
 class TestCyclePairs:
     def test_chain_pairs_within_budget(self):
         d = must_validate(builtin("chain"))
@@ -242,13 +301,15 @@ class TestLiftPair:
         g2 = by_disp[("1~", "3")]
         assert lift_pair(g1, g2, d) is None
         assert lift_pair(g2, g1, d) is None
+        assert lift_pair((), g1, d) is None and lift_pair(g1, (), d) is None
 
     def test_a_two_cycle_is_searched_in_one_orientation(self, monkeypatch):
         """Read backwards, a 2-cycle is one of its own rotations.  So a 2+2
         pair with no lift starts one kernel search per rotation of each
         cycle and meeting cell, and none for the reversed second cycle."""
-        d = must_validate(path_diagram(10))
-        g1, g2 = diagram_cycles(d, 2)[:2]
+        d = must_validate(split_cell_diagram())
+        g1, g2 = diagram_cycles(d, 2)
+        assert graphs._edges_held(g1, g2, d.index)  # the pair reaches the kernel
         cells = d.index.cells
         starts = [
             start
@@ -265,7 +326,23 @@ class TestLiftPair:
 
         monkeypatch.setattr(graphs, "closed_walks", counted)
         assert lift_pair(g1, g2, d) is None
-        assert starts and calls == starts
+        assert starts == ["u", "w", "r", "p"] and calls == starts
+
+    @pytest.mark.parametrize("n", [5, 10, 20, 40])
+    def test_no_pair_of_path_reaches_the_kernel(self, monkeypatch, n):
+        """Every pair of path that is not exempt fails the edge test: a
+        cycle holds a horizontal and a vertical edge only through the
+        trivial label, and two cycles that share it are exempt."""
+        calls = []
+        original = graphs.closed_walks
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "closed_walks", counted)
+        report = check_r_connected(path_diagram(n), 4)
+        assert not report.verdict and calls == []
 
     def test_all_found_lifts_verify_on_random_corpus(self, corpus):
         rows, _elapsed = corpus
