@@ -173,7 +173,8 @@ class DiracPart(enum.Enum):
 
 
 # the members as module constants: reading an enum member through its class
-# costs a descriptor call, and the index tables classify every edge
+# costs a descriptor call, and the index tables, the pair-lift walk and the
+# quartic join test the part of every step
 _D0, _DELTA, _J_DELTA_J = DiracPart.D0, DiracPart.DELTA, DiracPart.J_DELTA_J
 
 
@@ -568,7 +569,7 @@ def _check_operator_shapes(d: KrajewskiDiagram) -> CheckResult:
         part = _dirac_part(s, t)
         if part is None:
             continue  # reported by the first-order check
-        if part is DiracPart.J_DELTA_J:
+        if part is _J_DELTA_J:
             expected = (t.row.dimension(d.algebra), s.row.dimension(d.algebra))
         else:
             expected = (t.col.dimension(d.algebra), s.col.dimension(d.algebra))

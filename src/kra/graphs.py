@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import RepLabel
-from .diagram import DiagramIndex, DiracPart, KrajewskiDiagram
+from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram
 
 __all__ = [
     "Cycle",
@@ -38,7 +38,6 @@ __all__ = [
     "cycle_pairs",
     "lift_cycle",
     "lift_pair",
-    "closed_walks",
 ]
 
 Cycle = tuple[RepLabel, ...]
@@ -264,8 +263,8 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
             for r2 in range(len(g2)):
                 b_rot = b_seq[r2:] + b_seq[:r2]
                 for start in index.cells.get((a_rot[0], b_rot[0]), ()):
-                    for vertices, edges, _parts in closed_walks(index, start, a_rot, b_rot):
-                        return LiftWitness(vertices, edges)
+                    if (witness := _first_walk(index, start, a_rot, b_rot)) is not None:
+                        return witness
     return None
 
 
@@ -296,47 +295,34 @@ def _steps_held(cycle: Cycle, table: Mapping, other: Cycle) -> bool:
     return True
 
 
-def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple):
-    """Closed walks from ``start`` with len(cols) horizontal and len(rows)
-    vertical steps, in the order of ``index.steps``; vertices may repeat.
+def _first_walk(index: DiagramIndex, start: str, cols: tuple, rows: tuple) -> LiftWitness | None:
+    """The first closed walk from ``start`` with len(cols) horizontal and
+    len(rows) vertical steps, in the order of ``index.steps``, or None;
+    vertices may repeat.
 
     Horizontal step i must enter column cols[(i + 1) % len(cols)] and
-    vertical step i row rows[(i + 1) % len(rows)]; a None label matches any.
-    Yields (vertex ids, edge ids, parts), where step i runs from vertex i to
-    vertex i + 1, cyclically.  ``lift_pair`` takes the first walk of each
-    labelled search as its witness.
+    vertical step i row rows[(i + 1) % len(rows)]; step i runs from vertex
+    i to vertex i + 1, cyclically.  cols and rows are nonempty and ``start``
+    lies in the cell (cols[0], rows[0]), so a walk that has taken all steps
+    but one closes by any edge back into ``start`` of the missing kind.
 
     One depth-first loop over an explicit stack, with no closure, so that
-    nothing keeps the index alive past the call.  The last step is taken
-    only back into ``start``, and the walk is yielded there and then.
+    nothing keeps the index alive past the call.
     """
     n, m = len(cols), len(rows)
     last = n + m - 1  # the steps a walk takes before its closing one
-    if last < 0:
-        yield (), (), ()
-        return
-    if last == 0:
-        return  # one step back into start is a self-loop, which is a D0 step
     steps, vertices = index.steps, index.vertices
-    delta, j_delta_j = DiracPart.DELTA, DiracPart.J_DELTA_J
-    # the closing step is horizontal step n - 1, which must enter column
-    # cols[0], or vertical step m - 1, which must enter row rows[0]
-    at_start = vertices[start]
-    close_h = n > 0 and cols[0] in (None, at_start.col)
-    close_v = m > 0 and rows[0] in (None, at_start.row)
-    path, edges, parts = [start], [], []
+    path, edges = [start], []
     stack = [(iter(steps[start]), 0, 0)]
     while stack:
         frame, i, j = stack[-1]
         for eid, nxt, part in frame:
-            if part is delta and i < n:
-                want = cols[(i + 1) % n]
-                if want is not None and want != vertices[nxt].col:
+            if part is _DELTA and i < n:
+                if cols[(i + 1) % n] != vertices[nxt].col:
                     continue
                 i2, j2 = i + 1, j
-            elif part is j_delta_j and j < m:
-                want = rows[(j + 1) % m]
-                if want is not None and want != vertices[nxt].row:
+            elif part is _J_DELTA_J and j < m:
+                if rows[(j + 1) % m] != vertices[nxt].row:
                     continue
                 i2, j2 = i, j + 1
             else:
@@ -344,17 +330,15 @@ def closed_walks(index: DiagramIndex, start: str, cols: tuple, rows: tuple):
             if i2 + j2 < last:
                 path.append(nxt)
                 edges.append(eid)
-                parts.append(part)
                 stack.append((iter(steps[nxt]), i2, j2))
                 break
             # nxt is the last vertex before the closing step
-            if (close_h if i2 < n else close_v):
-                closing = delta if i2 < n else j_delta_j
-                for back, other, p in steps[nxt]:
-                    if other == start and p is closing:
-                        yield (*path, nxt), (*edges, eid, back), (*parts, part, closing)
+            closing = _DELTA if i2 < n else _J_DELTA_J
+            for back, other, p in steps[nxt]:
+                if other == start and p is closing:
+                    return LiftWitness((*path, nxt), (*edges, eid, back))
         else:
             stack.pop()
             path.pop()
             del edges[-1:]
-            del parts[-1:]
+    return None

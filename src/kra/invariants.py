@@ -42,7 +42,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import (
-    DiagramIndex, DiagramVertex, DiracPart, KrajewskiDiagram, SymbolicOperator,
+    _DELTA, _J_DELTA_J, DiagramIndex, DiagramVertex, DiracPart, KrajewskiDiagram,
+    SymbolicOperator,
 )
 from .exactlin import GaussRational, span_rank
 from .graphs import (
@@ -378,14 +379,15 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
         "back-and-forth walks over {edge}",
     )
     # Each closed four-step walk is joined from two halves at its least
-    # vertex, in the order in which ``closed_walks`` would yield it from
-    # there.  The first walk with a given term starts at the least vertex of
-    # any walk with that term, so the walks left out are never the ones
-    # kept; nor is a walk whose reversal, which has its term, came first.  A
-    # walk's horizontal steps trace the columns at their sources, and its
-    # vertical steps (read through j) the rows at theirs.  Many walks share
-    # one such pair of label walks, and only the first of them can give a
-    # new term.  The two kinds share no term, so one pass makes both lists.
+    # vertex, in the order of ``index.steps`` from there: by first step,
+    # then by second, and so on.  The first walk with a given term starts at
+    # the least vertex of any walk with that term, so the walks left out are
+    # never the ones kept; nor is a walk whose reversal, which has its term,
+    # came first.  A walk's horizontal steps trace the columns at their
+    # sources, and its vertical steps (read through j) the rows at theirs.
+    # Many walks share one such pair of label walks, and only the first of
+    # them can give a new term.  The two kinds share no term, so one pass
+    # makes both lists.
     walks: list[InvariantTerm] = []  # four horizontal steps
     mixed: list[InvariantTerm] = []  # two horizontal and two vertical steps
     codes = _diagram_step_codes(d)
@@ -433,10 +435,10 @@ def _quartic_halves(index: DiagramIndex):
     horizontal steps and cols and rows are the labels at the sources of its
     horizontal and vertical steps.  ``back[b, h]`` lists the return halves
     into b with h horizontal steps as (e3, c, e4, (e4, c), cols, rows),
-    sorted, which is the order in which ``closed_walks`` takes those steps.
-    So for each forward half in order, each return half in order, the walks
-    come in the order of ``closed_walks(index, s, …)`` kept to vertices of
-    id s or more."""
+    sorted, which is the order of ``index.steps`` at b and c.  So for each
+    forward half in order, each return half in order, the walks from s come
+    in the order of ``index.steps``, step by step, kept to vertices of id s
+    or more."""
     vertices = index.vertices
     # each horizontal or vertical step v -> w: (edge, w, what it adds at v,
     # what its reversal adds at w)
@@ -444,7 +446,7 @@ def _quartic_halves(index: DiagramIndex):
         v: [
             (eid, w, _step_label(vertices[v], part), _step_label(vertices[w], part))
             for eid, w, part in out
-            if part is DiracPart.DELTA or part is DiracPart.J_DELTA_J
+            if part is _DELTA or part is _J_DELTA_J
         ]
         for v, out in index.steps.items()
     }
@@ -469,7 +471,7 @@ def _step_label(source: DiagramVertex, part: DiracPart) -> tuple[tuple, tuple, i
     """What a horizontal or vertical step adds to its walk's label walks:
     (columns, rows, 1 if horizontal), with the column at its source if it is
     horizontal and the row there if it is vertical."""
-    if part is DiracPart.DELTA:
+    if part is _DELTA:
         return (source.col,), (), 1
     return (), (source.row,), 0
 

@@ -174,7 +174,9 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
     exemptions = pair_exemptions(d, bound) if bound >= 2 else {}
     # the rows the columns of each cycle hold: lift_pair(c1, c2, d) starts a
     # walk only in a cell (column of c1, row of c2), so it finds none when
-    # this set for c1 misses c2, and is not called
+    # this set for c1 misses c2.  Its own edge test would refuse such a pair
+    # too, but this set test saves the call for each pair it refuses: on
+    # path n the calls are 2(n - 1), against about n^2 without it
     column_rows = d.index.column_rows
     reach = {c: frozenset().union(*(column_rows.get(col, ()) for col in c)) for c in cycles}
     cond2 = []

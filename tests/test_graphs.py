@@ -318,13 +318,13 @@ class TestLiftPair:
             for start in cells.get((a[0], b[0]), ())
         ]
         calls = []
-        original = graphs.closed_walks
+        original = graphs._first_walk
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(graphs, "closed_walks", counted)
+        monkeypatch.setattr(graphs, "_first_walk", counted)
         assert lift_pair(g1, g2, d) is None
         assert starts == ["u", "w", "r", "p"] and calls == starts
 
@@ -334,13 +334,13 @@ class TestLiftPair:
         cycle holds a horizontal and a vertical edge only through the
         trivial label, and two cycles that share it are exempt."""
         calls = []
-        original = graphs.closed_walks
+        original = graphs._first_walk
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(graphs, "closed_walks", counted)
+        monkeypatch.setattr(graphs, "_first_walk", counted)
         report = check_r_connected(path_diagram(n), 4)
         assert not report.verdict and calls == []
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_kernel
 from kra import (
     DiracPart,
     FactorKind,
@@ -22,7 +23,6 @@ from kra import (
     builtin,
     canonical_block,
     canonical_key,
-    closed_walks,
     collapse_blocks,
     counterterm_coverage,
     cycle_pairs,
@@ -321,7 +321,7 @@ class TestActionTerms:
             # (e1, a, e2, b), and for each half the four-step walks first
             found = []
             for kind, (n_h, n_v) in enumerate(((4, 0), (2, 2))):
-                for vertices, edges, parts in closed_walks(
+                for vertices, edges, parts in oracle_kernel.closed_walks(
                     index, start, (None,) * n_h, (None,) * n_v
                 ):
                     if min(vertices) == start and (edges[3], vertices[3]) >= (edges[0], vertices[1]):

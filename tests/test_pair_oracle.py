@@ -88,13 +88,13 @@ def test_pairs_that_share_no_cell_start_no_walk(monkeypatch):
     d = must_validate(path_diagram(10))
     cells = d.index.cells
     calls = []
-    original = graphs.closed_walks
+    original = graphs._first_walk
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "closed_walks", counted)
+    monkeypatch.setattr(graphs, "_first_walk", counted)
     apart = lifted = 0
     for g1, g2 in product(diagram_cycles(d, 2), repeat=2):
         meets = any((col, row) in cells for col in g1 for row in g2)

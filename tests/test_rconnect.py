@@ -22,6 +22,7 @@ from kra import (
     ko_signs,
     project,
 )
+from kra import rconnect
 from kra.invariants import _collapse_at, _cycle_block, _diagram_step_codes
 from kra.rconnect import pair_exemptions
 
@@ -194,6 +195,23 @@ class TestVerdicts:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             check_r_connected(builtin("chain"), -1)
+
+    @pytest.mark.parametrize("n", [5, 10, 20, 40])
+    def test_path_lifts_only_pairs_with_the_full_column(self, monkeypatch, n):
+        """In path n only column 0 holds a row other than 0, so a pair
+        reaches ``lift_pair`` only through the one cycle on column 0: it is
+        called once each way for that cycle and each of the n - 1 others,
+        not for all of the pairs that are not exempt."""
+        calls = []
+        original = rconnect.lift_pair
+
+        def counted(g1, g2, d):
+            calls.append((g1, g2))
+            return original(g1, g2, d)
+
+        monkeypatch.setattr(rconnect, "lift_pair", counted)
+        report = check_r_connected(path_diagram(n), 4)
+        assert not report.verdict and len(calls) == 2 * (n - 1)
 
 
 class TestBounds:
