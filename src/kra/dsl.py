@@ -258,6 +258,9 @@ class _ParserState:
     edges: list[EdgePair] = field(default_factory=list)
     edge_ids: set[str] = field(default_factory=set)
     jmap: list[tuple[str, str]] = field(default_factory=list)
+    # matrix literal text -> the operator it parsed to: an edge and its
+    # j-mirror carry the same matrix, so the second is not read again
+    matrices: dict[str, NumericOperator] = field(default_factory=dict)
 
 
 def parse(text: str) -> KrajewskiDiagram:
@@ -500,7 +503,10 @@ def _edge_line(state: _ParserState, m: re.Match, lineno: int) -> None:
     operator: SymbolicOperator | NumericOperator
     if m["ematrix"] is not None:
         literal = _matrix_literal(m["ematrix"])
-        operator = _parse_matrix(literal, lineno, m.start("ematrix") + 1)
+        operator = state.matrices.get(literal)
+        if operator is None:
+            operator = _parse_matrix(literal, lineno, m.start("ematrix") + 1)
+            state.matrices[literal] = operator
     else:
         operator = SymbolicOperator(m["elabel"] or eid)
     state.edge_ids.add(eid)

@@ -266,6 +266,43 @@ MATRIX_PRELUDE = "factor c1 C 2\nvertex a c1 c1\nvertex b c1 c1\n"
 BOTH_PATHS = [("{}", 0), ("\t{}  # both paths", 1)]
 
 
+class TestMatrixLiteralReuse:
+    """A matrix literal is read once per document: the edges that repeat it
+    share the operator, errors stay where they were, and nothing is kept
+    from one parse to the next."""
+
+    TWO_EDGES = (
+        "factor c1 C 1\nfactor c2 C 2\n"
+        "vertex a c1 c1 +\nvertex b c2 c1 -\n"
+        "vertex ja c1 c1 +\nvertex jb c1 c2 -\n"
+        "edge e a -> b matrix [[1], [2/3*i]]\n"
+        "edge\tje ja -> jb matrix [[1], [2/3*i]]  # read token by token\n"
+        "jmap a <-> ja\njmap b <-> jb\n"
+    )
+
+    def test_repeated_literal_parses_to_equal_operators(self):
+        e, je = parse(self.TWO_EDGES).edges
+        assert e.operator == je.operator == NumericOperator((
+            (GaussRational.of(1),),
+            (GaussRational.of(0, Fraction(2, 3)),),
+        ))
+        assert e.operator is je.operator
+
+    def test_malformed_repeated_literal_reported_at_first_use(self):
+        e = err(
+            "factor c1 C 1\nvertex v c1 c1 +\n"
+            "edge e v -> v matrix [[1+*i]]\n"
+            "edge f v -> v matrix [[1+*i]]\n"
+        )
+        assert (e.span.line, e.span.column) == (3, 24)
+        assert str(e) == "3:24: malformed matrix entry '1+*i' (expected a/b+c/d*i)"
+
+    def test_nothing_carries_over_between_parses(self):
+        first = parse(self.TWO_EDGES).edges[0].operator
+        second = parse(self.TWO_EDGES).edges[0].operator
+        assert first == second and first is not second
+
+
 class TestIntegerFields:
     """Integer fields are ASCII digits, and one too long for ``int`` is a
     parse error at its span, not a ``ValueError``."""

@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kra import GaussRational, matrix_rank, span_rank
+from kra import (
+    AlgebraFactor,
+    DiagramVertex,
+    EdgePair,
+    FactorKind,
+    FiniteAlgebra,
+    GaussRational,
+    KrajewskiDiagram,
+    NumericOperator,
+    RepLabel,
+    basis_dimension,
+    matrix_rank,
+    span_rank,
+)
 
 
 def g(re, im=0) -> GaussRational:
@@ -157,3 +172,76 @@ class TestSpanRank:
         b = ((ONE,),)
         with pytest.raises(ValueError):
             span_rank((a, b))
+
+
+class TestRaggedRows:
+    def test_matrix_rank_rejects_a_longer_later_row(self):
+        with pytest.raises(ValueError):
+            matrix_rank(((ZERO,), (ZERO, ONE)))
+
+    def test_matrix_rank_rejects_a_shorter_later_row(self):
+        with pytest.raises(ValueError):
+            matrix_rank(((ONE, ZERO), (ZERO,)))
+
+    def test_span_rank_rejects_ragged_matrices(self):
+        with pytest.raises(ValueError):
+            span_rank((((ONE,), (ZERO, ONE)), ((ONE,), (ONE, ONE))))
+
+    def test_span_rank_rejects_rows_of_another_width(self):
+        with pytest.raises(ValueError):
+            span_rank((((ONE, ZERO), (ZERO, ONE)), ((ONE, ZERO, ONE), (ONE,))))
+
+
+def test_int_parts_rank_as_fraction_parts():
+    rng = random.Random(19)
+    for _ in range(50):
+        parts = [
+            [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
+            for _ in range(3)
+        ]
+        parts.append([(a + 2 * c, b + 2 * d) for (a, b), (c, d) in zip(*parts[:2])])
+        as_int = tuple(tuple(GaussRational(re, im) for re, im in row) for row in parts)
+        as_fraction = tuple(tuple(GaussRational.of(re, im) for re, im in row) for row in parts)
+        assert isinstance(as_int[0][0].re, int)
+        assert matrix_rank(as_int) == matrix_rank(as_fraction) <= 3
+        assert span_rank(tuple((row,) for row in as_int)) == matrix_rank(as_fraction)
+
+
+def _random_entry(rng: random.Random) -> GaussRational:
+    return GaussRational.of(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
+        Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
+    )
+
+
+class TestRankTime:
+    """Elimination without the exact division lets entries grow
+    exponentially with the size; these bounds catch that."""
+
+    def test_basis_dimension_of_36_matrices_on_one_edge(self):
+        rng = random.Random(36)
+        algebra = FiniteAlgebra((
+            AlgebraFactor(6, FactorKind.COMPLEX),
+            AlgebraFactor(6, FactorKind.COMPLEX),
+            AlgebraFactor(1, FactorKind.COMPLEX),
+        ))
+        a, b, c = (RepLabel(k) for k in range(3))
+        edges = tuple(
+            EdgePair(f"e{k}", "x", "y", NumericOperator(tuple(
+                tuple(_random_entry(rng) for _ in range(6)) for _ in range(6)
+            )))
+            for k in range(36)
+        )
+        d = KrajewskiDiagram(
+            algebra, 0, (DiagramVertex("x", a, c, 1), DiagramVertex("y", b, c, -1)), edges
+        )
+        t0 = perf_counter()
+        assert basis_dimension((a, b), d) == 36
+        assert perf_counter() - t0 < 0.25
+
+    def test_matrix_rank_of_a_30_by_25_matrix(self):
+        rng = random.Random(30)
+        m = tuple(tuple(_random_entry(rng) for _ in range(25)) for _ in range(30))
+        t0 = perf_counter()
+        assert matrix_rank(m) == 25
+        assert perf_counter() - t0 < 0.1
