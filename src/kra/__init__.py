@@ -8,23 +8,45 @@ issues the renormalizability verdict for the asymptotically expanded
 action.  A ``.kra`` text format and the ``kra`` command-line tool wrap the
 library.
 
-The package exports every name in its submodules' ``__all__``.
+The package exports every name in its submodules' ``__all__``.  Importing
+it executes none of them: each submodule is put into ``sys.modules`` and
+onto the package through ``importlib.util.LazyLoader``, so its body runs
+at the first read of one of its attributes, and the exported names are
+resolved on first use (PEP 562).
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
 
-from . import algebra, builtins, diagram, dsl, exactlin, graphs, invariants, powercount, rconnect
-from .algebra import *  # noqa: F401,F403
-from .builtins import *  # noqa: F401,F403
-from .diagram import *  # noqa: F401,F403
-from .dsl import *  # noqa: F401,F403
-from .exactlin import *  # noqa: F401,F403
-from .graphs import *  # noqa: F401,F403
-from .invariants import *  # noqa: F401,F403
-from .powercount import *  # noqa: F401,F403
-from .rconnect import *  # noqa: F401,F403
+_SUBMODULES = (
+    "algebra", "builtins", "diagram", "dsl", "exactlin", "graphs", "invariants", "powercount",
+    "rconnect",
+)
 
-_SUBMODULES = (algebra, builtins, diagram, dsl, exactlin, graphs, invariants, powercount, rconnect)
-__all__ = ["__version__"] + [name for module in _SUBMODULES for name in module.__all__]
+for _name in _SUBMODULES:
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    globals()[_name] = sys.modules[_spec.name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = ["__version__"] + [n for m in _SUBMODULES for n in globals()[m].__all__]
+    else:
+        owner = next((m for m in _SUBMODULES if name in globals()[m].__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(globals()[owner], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list({*globals(), *sys.modules[__name__].__all__})

@@ -15,50 +15,18 @@ verdicts included), 2 unreadable or unparsable input, 3 validation failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import __version__
-from .algebra import (
-    algebra_dimension,
-    gauge_lie_algebra,
-    simple_factor_dimension,
-    unimodularity_relation,
-)
-from .builtins import BUILTIN_SUMMARIES, builtin, decimal_int
-from .diagram import (
-    KrajewskiDiagram,
-    ValidationReport,
-    fundamental_multiplicities,
-    hilbert_dimension,
-    validate,
-)
-from .dsl import ParseError, parse, serialize
-from .graphs import Cycle, LiftWitness
-from .invariants import (
-    InvariantTerm,
-    action_terms,
-    counterterm_coverage,
-    cycle_display,
-    edge_display,
-    enumerate_fields,
-    required_counterterms,
-    structure_display,
-)
-from .powercount import (
-    GraphProfile,
-    expansion_order,
-    heat_kernel_coefficients,
-    omega_bound,
-    omega_external,
-    propagator_uv_degrees,
-    renorm_verdict,
-    validate_profile,
-)
-from .rconnect import check_r_connected
+from . import __version__, algebra, builtins, diagram, dsl, invariants, powercount, rconnect
+
+if TYPE_CHECKING:
+    from .diagram import KrajewskiDiagram, ValidationReport
+    from .graphs import Cycle, LiftWitness
+    from .invariants import InvariantTerm
+    from .powercount import GraphProfile
 
 __all__ = ["main"]
 
@@ -74,14 +42,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_arg(text: str) -> int:
     try:
-        return decimal_int(text)
+        return builtins.decimal_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
 def _order_arg(text: str) -> int:
     try:
-        return expansion_order(_int_arg(text))
+        return powercount.expansion_order(_int_arg(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -104,7 +72,7 @@ def _flag(value: bool) -> str:
 def _cycle_json(cycle: Cycle, d: KrajewskiDiagram) -> dict:
     return {
         "vertices": [v.display(d.algebra) for v in cycle],
-        "display": cycle_display(cycle, d.algebra),
+        "display": invariants.cycle_display(cycle, d.algebra),
     }
 
 
@@ -122,7 +90,7 @@ def _witness_json(w: LiftWitness | None, d: KrajewskiDiagram) -> dict | None:
 def _term_json(t: InvariantTerm, d: KrajewskiDiagram) -> dict:
     out = {
         "kind": t.kind.value,
-        "structure": structure_display(t, d.algebra),
+        "structure": invariants.structure_display(t, d.algebra),
         "coefficient": t.coefficient,
         "origin": t.origin,
     }
@@ -133,8 +101,9 @@ def _term_json(t: InvariantTerm, d: KrajewskiDiagram) -> dict:
 
 # ---------------------------------------------------------------------------
 # Subcommands: a result builder and a text renderer that reads only the result.
-# Builders name the analysis functions in their bodies, so the names are
-# looked up at call time (a tracer that rebinds them here still sees them).
+# Builders call each analysis function through its module at call time, so a
+# subcommand executes only the modules it calls (``kra`` registers them lazily)
+# and a tracer that rebinds a module's name still sees the call.
 
 
 def _validate_result(args, d: KrajewskiDiagram, report: ValidationReport) -> dict:
@@ -146,7 +115,7 @@ def _validate_result(args, d: KrajewskiDiagram, report: ValidationReport) -> dic
         ],
     }
     if report.ok:
-        result["hilbert_dimension"] = hilbert_dimension(d)
+        result["hilbert_dimension"] = diagram.hilbert_dimension(d)
     return result
 
 
@@ -163,17 +132,17 @@ def _validate_text(r: dict) -> list[str]:
 
 
 def _gauge_algebra_result(args, d: KrajewskiDiagram, report) -> dict:
-    decomp = gauge_lie_algebra(d.algebra)
-    multiplicities = fundamental_multiplicities(d)
-    relation = unimodularity_relation(d.algebra, multiplicities)
+    decomp = algebra.gauge_lie_algebra(d.algebra)
+    multiplicities = diagram.fundamental_multiplicities(d)
+    relation = algebra.unimodularity_relation(d.algebra, multiplicities)
     return {
         "decomposition": decomp.display(),
         "simple_factors": [
-            {"name": f"{series}({k})", "dimension": simple_factor_dimension(series, k)}
+            {"name": f"{series}({k})", "dimension": algebra.simple_factor_dimension(series, k)}
             for series, k in decomp.simple_factors
         ],
         "abelian_rank": decomp.abelian_rank,
-        "total_dimension": algebra_dimension(decomp),
+        "total_dimension": algebra.algebra_dimension(decomp),
         "fundamental_multiplicities": list(multiplicities),
         "unimodularity": {
             "constraint": [
@@ -202,12 +171,12 @@ def _gauge_algebra_text(r: dict) -> list[str]:
 
 
 def _fields_result(args, d: KrajewskiDiagram, report) -> dict:
-    inventory = enumerate_fields(d)
+    inventory = invariants.enumerate_fields(d)
     return {
         "total_components": inventory.total_components,
         "multiplets": [
             {
-                "edge": edge_display(c.edge, d.algebra),
+                "edge": invariants.edge_display(c.edge, d.algebra),
                 "basis_index": c.basis_index,
                 "source": c.source_rep.display(d.algebra),
                 "target": c.target_rep.display(d.algebra),
@@ -236,7 +205,7 @@ def _terms_text(title: str, r: dict) -> list[str]:
 
 
 def _coverage_result(args, d: KrajewskiDiagram, report) -> dict:
-    coverage = counterterm_coverage(d)
+    coverage = invariants.counterterm_coverage(d)
     missing = [_term_json(t, d) for t in coverage.missing]
     return {
         "complete": coverage.complete,
@@ -265,7 +234,7 @@ def _coverage_text(r: dict) -> list[str]:
 
 
 def _rconnect_result(args, d: KrajewskiDiagram, report) -> dict:
-    rc = check_r_connected(d, args.dim, strict_bounds=args.strict_bounds)
+    rc = rconnect.check_r_connected(d, args.dim, strict_bounds=args.strict_bounds)
     return {
         "verdict": rc.verdict,
         "dimension": rc.dimension,
@@ -328,11 +297,15 @@ _PROFILE_FIELDS = frozenset("L I_A I_chi I_ghost V_ghostA V_ghostChi E_A E_chi E
 def _profile_int(value, what: str) -> int:
     # bool is an int subclass, and int() would truncate a float or parse a string
     if type(value) is not int:
+        import json
+
         raise _CliError(64, f"kra: error: profile {what} is not an integer: {json.dumps(value)}")
     return value
 
 
 def _parse_profile(text: str) -> GraphProfile:
+    import json
+
     try:
         raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
@@ -345,7 +318,7 @@ def _parse_profile(text: str) -> GraphProfile:
     vertices: dict[tuple[int, int], int] = {}
     for key, count in valences.items():
         try:
-            i, j = (decimal_int(part) for part in key.split(","))
+            i, j = (builtins.decimal_int(part) for part in key.split(","))
         except ValueError:
             raise _CliError(
                 64, f"kra: error: bad vertex valence key {key!r} (want 'i,j')"
@@ -358,7 +331,7 @@ def _parse_profile(text: str) -> GraphProfile:
     if "L" not in fields:
         raise _CliError(64, "kra: error: profile needs the loop order L")
     try:
-        return GraphProfile(V=vertices, **fields)
+        return powercount.GraphProfile(V=vertices, **fields)
     except ValueError as exc:
         raise _CliError(64, f"kra: error: {exc}") from None
 
@@ -367,18 +340,18 @@ def _powercount_result(args, d, report) -> dict:
     n = args.n
     result = {
         "order": n,
-        "propagator_degrees": propagator_uv_degrees(n),
+        "propagator_degrees": powercount.propagator_uv_degrees(n),
         "heat_kernel": [
             {"k": c.k, "c": str(c.c), "c_prime": str(c.c_prime), "prefactor": c.prefactor}
-            for c in (heat_kernel_coefficients(k) for k in range(0, 3))
+            for c in (powercount.heat_kernel_coefficients(k) for k in range(0, 3))
         ],
         "profile": None,
     }
     if args.profile:
         profile = _parse_profile(args.profile)
-        check = validate_profile(profile)
+        check = powercount.validate_profile(profile)
         try:
-            bound = omega_bound(profile, n) if check.ok else None
+            bound = powercount.omega_bound(profile, n) if check.ok else None
         except ValueError as exc:  # a vertex valence above the order n
             raise _CliError(64, f"kra: error: {exc}") from None
         result["profile"] = {
@@ -387,7 +360,7 @@ def _powercount_result(args, d, report) -> dict:
             ],
             "consistent": check.ok,
             "omega_bound": bound,
-            "omega_external": omega_external(
+            "omega_external": powercount.omega_external(
                 profile.L, profile.E_A, profile.E_chi, profile.E_ghost, n
             ),
         }
@@ -416,7 +389,7 @@ def _powercount_text(r: dict) -> list[str]:
 
 
 def _verdict_result(args, d: KrajewskiDiagram, report) -> dict:
-    verdict = renorm_verdict(d, args.n)
+    verdict = powercount.renorm_verdict(d, args.n)
     return {
         "verdict": verdict.verdict,
         "headline": verdict.headline,
@@ -473,12 +446,12 @@ _COMMANDS: dict[str, _Command] = {
     ),
     "action-terms": _Command(
         "trace terms generated by the expanded action", "refuse",
-        lambda args, d, report: _terms_result(action_terms(d), d),
+        lambda args, d, report: _terms_result(invariants.action_terms(d), d),
         partial(_terms_text, "action terms"),
     ),
     "counterterms": _Command(
         "gauge-invariant counterterms the field content demands", "refuse",
-        lambda args, d, report: _terms_result(required_counterterms(d), d),
+        lambda args, d, report: _terms_result(invariants.required_counterterms(d), d),
         partial(_terms_text, "counterterms"),
     ),
     "coverage": _Command(
@@ -518,14 +491,14 @@ _COMMANDS: dict[str, _Command] = {
         lambda args, d, report: {
             "builtins": [
                 {"name": name, "summary": summary}
-                for name, summary in sorted(BUILTIN_SUMMARIES.items())
+                for name, summary in sorted(builtins.BUILTIN_SUMMARIES.items())
             ]
         },
         lambda r: [f"{e['name']}: {e['summary']}" for e in r["builtins"]],
     ),
     "fmt": _Command(
         "canonical serialization of a diagram", "refuse",
-        lambda args, d, report: {"text": serialize(d)}, None,
+        lambda args, d, report: {"text": dsl.serialize(d)}, None,
     ),
 }
 
@@ -555,7 +528,7 @@ def _load_diagram(args) -> tuple[KrajewskiDiagram, dict]:
         raise _CliError(64, "kra: error: provide exactly one of --builtin, --file, or a file path")
     if args.builtin:
         try:
-            return builtin(args.builtin), {"kind": "builtin", "name": args.builtin}
+            return builtins.builtin(args.builtin), {"kind": "builtin", "name": args.builtin}
         except (KeyError, ValueError) as exc:
             raise _CliError(64, f"kra: error: {exc}") from None
     path = args.file or args.path
@@ -565,8 +538,8 @@ def _load_diagram(args) -> tuple[KrajewskiDiagram, dict]:
         reason = getattr(exc, "strerror", None) or exc
         raise _CliError(2, f"kra: cannot read {path}: {reason}") from None
     try:
-        return parse(text), {"kind": "file", "path": path}
-    except ParseError as exc:
+        return dsl.parse(text), {"kind": "file", "path": path}
+    except dsl.ParseError as exc:
         raise _CliError(2, f"{path}:{exc}") from None
 
 
@@ -575,7 +548,7 @@ def _run(name: str, args) -> int:
     d, report, descriptor, code = None, None, {"kind": "none"}, 0
     if command.input != "none":
         d, descriptor = _load_diagram(args)
-        report = validate(d)
+        report = diagram.validate(d)
         if report.ok:
             d = report.diagram or d
         elif command.input == "refuse":
@@ -588,6 +561,8 @@ def _run(name: str, args) -> int:
     result = command.build(args, d, report)
     warnings = list(report.warnings) if report is not None else []
     if args.json:
+        import json
+
         envelope = {"command": name, "input": descriptor, "result": result,
                     "warnings": warnings, "version": __version__}
         print(json.dumps(envelope, sort_keys=True, ensure_ascii=False, indent=2))

@@ -62,17 +62,14 @@ class ParseError(Exception):
 
 _WORD = r"[A-Za-z_][A-Za-z0-9_]*~?"
 
-_TOKEN_RE = re.compile(
-    rf"""
+_TOKEN_PATTERN = rf"""
     (?P<word>{_WORD})
   | (?P<int>[0-9]+)
   | (?P<darrow><->)
   | (?P<arrow>->)
   | (?P<sign>[+-])
   | (?P<lbracket>\[)
-    """,
-    re.VERBOSE,
-)
+    """
 
 # A well-formed declaration line in one match: the directive and its fields
 # separated by spaces, with no tab, comment or adjacent tokens (a matrix
@@ -98,6 +95,12 @@ def _line_re() -> re.Pattern[str]:
     """_LINE_PATTERN, compiled at the first parse: about 2 ms that a process
     reading no .kra text does not pay at import."""
     return re.compile(_LINE_PATTERN, re.VERBOSE)
+
+
+@functools.cache
+def _token_re() -> re.Pattern[str]:
+    """_TOKEN_PATTERN, compiled at the first line that _line_re refuses."""
+    return re.compile(_TOKEN_PATTERN, re.VERBOSE)
 
 
 @dataclass(slots=True)
@@ -131,7 +134,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             continue
         if ch == "#":
             break
-        m = _TOKEN_RE.match(line, pos)
+        m = _token_re().match(line, pos)
         if m is None:
             raise ParseError(
                 SourceSpan(lineno, pos + 1), f"unexpected character {ch!r}"
@@ -148,10 +151,15 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
 
 # One matrix entry: a/b, c/d*i, ±i, a/b±i or a/b±c/d*i.  The sign before the
 # imaginary part may be left out only when there is no real part.
-_ENTRY_RE = re.compile(
-    r"(?:([+-]?[0-9]+)(?:/([0-9]+))?)?"
-    r"(?:((?(1)[+-]|[+-]?))(?:([0-9]+)(?:/([0-9]+))?\*)?(i))?"
-)
+@functools.cache
+def _entry_re() -> re.Pattern[str]:
+    """The entry pattern, compiled at the first matrix literal."""
+    return re.compile(
+        r"(?:([+-]?[0-9]+)(?:/([0-9]+))?)?"
+        r"(?:((?(1)[+-]|[+-]?))(?:([0-9]+)(?:/([0-9]+))?\*)?(i))?"
+    )
+
+
 _ZERO = Fraction(0)
 
 
@@ -177,7 +185,7 @@ def _entry_int(m: re.Match, group: int, offset: int, lineno: int) -> int:
 def _parse_entry(text: str, lineno: int, column: int) -> GaussRational:
     stripped = text.strip()
     offset = column + (len(text) - len(text.lstrip()))
-    m = _ENTRY_RE.fullmatch(stripped) if stripped else None
+    m = _entry_re().fullmatch(stripped) if stripped else None
     if m is None:
         raise ParseError(
             SourceSpan(lineno, offset, max(len(stripped), 1)),

@@ -204,7 +204,7 @@ class TestExitCodes:
         def broken(*_args, **_kwargs):
             raise RuntimeError("stage broke\non two lines")
 
-        monkeypatch.setattr(kra.cli, "check_r_connected", broken)
+        monkeypatch.setattr(kra.rconnect, "check_r_connected", broken)
         code, out, err = run("check-rconnect", "--builtin", "sm", *fmt)
         assert (code, out) == (70, "")
         assert err == "kra: internal error: RuntimeError: stage broke on two lines\n"
@@ -217,7 +217,7 @@ class TestExitCodes:
         def stopped(*_args, **_kwargs):
             raise Stop()
 
-        monkeypatch.setattr(kra.cli, "check_r_connected", stopped)
+        monkeypatch.setattr(kra.rconnect, "check_r_connected", stopped)
         with pytest.raises(Stop):
             run("check-rconnect", "--builtin", "sm")
 

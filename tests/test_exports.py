@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import kra
 
@@ -31,3 +35,14 @@ def test_long_standing_names_are_still_exported():
     ):
         assert name in kra.__all__, name
     assert "builtin_names" not in kra.__all__
+
+
+def test_dir_lists_every_export_before_any_other_access():
+    # in a fresh interpreter: here other tests have already read the exports
+    probe = "import kra\nnames = dir(kra)\nprint(set(kra.__all__) <= set(names))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
