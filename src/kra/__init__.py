@@ -39,6 +39,10 @@ del _name, _spec, _module
 def __getattr__(name: str):
     if name == "__all__":
         value = ["__version__"] + [n for m in _SUBMODULES for n in globals()[m].__all__]
+    elif name.isidentifier() and importlib.util.find_spec(f"{__name__}.{name}") is not None:
+        # a module of the package not yet imported, such as ``cli``: ``from
+        # kra import cli`` asks for it before it imports it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     else:
         owner = next((m for m in _SUBMODULES if name in globals()[m].__all__), None)
         if owner is None:

@@ -20,11 +20,11 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import __version__, algebra, builtins, diagram, dsl, invariants, powercount, rconnect
+from . import __version__, algebra, builtins, diagram, dsl, graphs, invariants, powercount, rconnect
 
 if TYPE_CHECKING:
     from .diagram import KrajewskiDiagram, ValidationReport
-    from .graphs import Cycle, LiftWitness
+    from .graphs import LiftWitness
     from .invariants import InvariantTerm
     from .powercount import GraphProfile
 
@@ -69,13 +69,6 @@ def _flag(value: bool) -> str:
 # JSON pieces shared by several results
 
 
-def _cycle_json(cycle: Cycle, d: KrajewskiDiagram) -> dict:
-    return {
-        "vertices": [v.display(d.algebra) for v in cycle],
-        "display": invariants.cycle_display(cycle, d.algebra),
-    }
-
-
 def _witness_json(w: LiftWitness | None, d: KrajewskiDiagram) -> dict | None:
     if w is None:
         return None
@@ -83,7 +76,7 @@ def _witness_json(w: LiftWitness | None, d: KrajewskiDiagram) -> dict | None:
     return {
         "vertices": list(w.vertices),
         "edges": list(w.edges),
-        "display": " -> ".join(labels + labels[:1]),
+        "display": graphs.walk_display(labels),
     }
 
 
@@ -176,7 +169,7 @@ def _fields_result(args, d: KrajewskiDiagram, report) -> dict:
         "total_components": inventory.total_components,
         "multiplets": [
             {
-                "edge": invariants.edge_display(c.edge, d.algebra),
+                "edge": graphs.edge_display(c.edge, d.algebra),
                 "basis_index": c.basis_index,
                 "source": c.source_rep.display(d.algebra),
                 "target": c.target_rep.display(d.algebra),
@@ -235,13 +228,23 @@ def _coverage_text(r: dict) -> list[str]:
 
 def _rconnect_result(args, d: KrajewskiDiagram, report) -> dict:
     rc = rconnect.check_r_connected(d, args.dim, strict_bounds=args.strict_bounds)
+    algebra = d.algebra
+    # the pairs and tuples are made of the cycles of cond1: one piece per
+    # cycle, shared by every entry that names it
+    piece = {
+        entry.cycle: {
+            "vertices": [v.display(algebra) for v in entry.cycle],
+            "display": graphs.cycle_display(entry.cycle, algebra),
+        }
+        for entry in rc.cond1
+    }
     return {
         "verdict": rc.verdict,
         "dimension": rc.dimension,
         "strict_bounds": rc.strict_bounds,
         "cond1": [
             {
-                "cycle": _cycle_json(entry.cycle, d),
+                "cycle": piece[entry.cycle],
                 "lifted": entry.ok,
                 "witness": _witness_json(entry.witness, d),
             }
@@ -249,11 +252,11 @@ def _rconnect_result(args, d: KrajewskiDiagram, report) -> dict:
         ],
         "cond2": [
             {
-                "pair": [_cycle_json(c, d) for c in entry.pair],
+                "pair": [piece[c] for c in entry.pair],
                 "status": entry.status,
                 "exemption": {
                     "clause": entry.exemption.clause,
-                    "vertex": entry.exemption.vertex.display(d.algebra),
+                    "vertex": entry.exemption.vertex.display(algebra),
                 }
                 if entry.exemption.exempt
                 else None,
@@ -261,7 +264,7 @@ def _rconnect_result(args, d: KrajewskiDiagram, report) -> dict:
             }
             for entry in rc.cond2
         ],
-        "cond3": [[_cycle_json(c, d) for c in combo] for combo in rc.cond3],
+        "cond3": [[piece[c] for c in combo] for combo in rc.cond3],
     }
 
 

@@ -224,10 +224,10 @@ class DiagramIndex:
         return index
 
     @cached_property
-    def _known_edges(self) -> tuple[tuple[EdgePair, DiagramVertex, DiagramVertex,
-                                          DiracPart | None], ...]:
+    def known_edges(self) -> tuple[tuple[EdgePair, DiagramVertex, DiagramVertex,
+                                         DiracPart | None], ...]:
         """(edge, source, target, part; None if diagonal) for known endpoints,
-        classified once for the tables built from them."""
+        classified once for Γ̃, the step codes and the tables built here."""
         vertices = self.vertices
         out = []
         for e in self._edges:
@@ -240,7 +240,7 @@ class DiagramIndex:
     def steps(self) -> dict[str, tuple[tuple[str, str, DiracPart | None], ...]]:
         """vertex id -> sorted (edge id, other endpoint, part)."""
         out: dict[str, list] = {vid: [] for vid in self.vertices}
-        for e, _s, _t, part in self._known_edges:
+        for e, _s, _t, part in self.known_edges:
             out[e.source].append((e.id, e.target, part))
             if e.target != e.source:
                 out[e.target].append((e.id, e.source, part))
@@ -289,7 +289,7 @@ class DiagramIndex:
         it)."""
         rows: dict[tuple[RepLabel, RepLabel], set[RepLabel]] = {}
         cols: dict[tuple[RepLabel, RepLabel], set[RepLabel]] = {}
-        for _e, s, t, part in self._known_edges:
+        for _e, s, t, part in self.known_edges:
             if part is _DELTA:
                 key = (s.col, t.col) if s.col <= t.col else (t.col, s.col)
                 rows.setdefault(key, set()).add(s.row)
@@ -306,7 +306,7 @@ class DiagramIndex:
         """projected edge (lo, hi) -> its horizontal edge pairs in diagram
         order, each with whether it runs from lo to hi."""
         out: dict[tuple[RepLabel, RepLabel], list[tuple[EdgePair, bool]]] = {}
-        for e, s, t, part in self._known_edges:
+        for e, s, t, part in self.known_edges:
             if part is _DELTA:
                 key = (s.col, t.col) if s.col <= t.col else (t.col, s.col)
                 out.setdefault(key, []).append((e, s.col == key[0]))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .algebra import RepLabel
+from .algebra import FiniteAlgebra, RepLabel
 from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "proj_edge",
     "project",
     "canonical_cycle",
+    "cycle_display",
     "enumerate_cycles",
     "diagram_cycles",
     "cycle_pairs",
@@ -50,6 +51,18 @@ ProjEdge = tuple[RepLabel, RepLabel]
 
 def proj_edge(a: RepLabel, b: RepLabel) -> ProjEdge:
     return (a, b) if a <= b else (b, a)
+
+
+def cycle_display(cycle: Cycle, algebra: FiniteAlgebra) -> str:
+    n = len(cycle)
+    return "".join(
+        f"({cycle[i].display(algebra)} {cycle[(i + 1) % n].display(algebra)})"
+        for i in range(n)
+    )
+
+
+def edge_display(edge: ProjEdge, algebra: FiniteAlgebra) -> str:
+    return f"{{{edge[0].display(algebra)},{edge[1].display(algebra)}}}"
 
 
 @dataclass(frozen=True)
@@ -79,15 +92,14 @@ class ProjectedGraph:
 
 
 def project(d: KrajewskiDiagram) -> ProjectedGraph:
-    """Γ̃ together with the edge projection ψ, built once per diagram."""
+    """Γ̃ together with the edge projection ψ, built once per diagram.  An
+    edge with an unknown endpoint has no image, as in every index table."""
     return d.index.stage("project", lambda: _project(d))
 
 
 def _project(d: KrajewskiDiagram) -> ProjectedGraph:
     vertices = sorted({v.col for v in d.vertices})
-    psi: dict[str, ProjEdge] = {}
-    for e in d.edges:
-        psi[e.id] = proj_edge(d.vertex(e.source).col, d.vertex(e.target).col)
+    psi = {e.id: proj_edge(s.col, t.col) for e, s, t, _part in d.index.known_edges}
     return ProjectedGraph(
         tuple(vertices), tuple(sorted(set(psi.values()))), MappingProxyType(psi)
     )
@@ -176,6 +188,11 @@ class LiftWitness:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def walk_display(vertices: Sequence[str]) -> str:
+    """A closed walk as text: its vertices joined by arrows, back to the first."""
+    return " -> ".join([*vertices, *vertices[:1]])
 
 
 def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:

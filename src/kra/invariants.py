@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import (
@@ -47,7 +47,8 @@ from .diagram import (
 )
 from .exactlin import GaussRational, span_rank
 from .graphs import (
-    Cycle, ProjEdge, diagram_cycles, least_rotation, proj_edge, project,
+    ProjEdge, cycle_display, diagram_cycles, edge_display, least_rotation, proj_edge, project,
+    walk_display as _walk_display,
 )
 from .rconnect import SHARED_TRIVIAL_VERTEX, pair_exemptions, shared_trivial_vertex
 
@@ -66,7 +67,6 @@ __all__ = [
     "canonical_block",
     "canonical_key",
     "collapse_blocks",
-    "cycle_display",
     "structure_display",
 ]
 
@@ -200,17 +200,9 @@ def _diagram_step_codes(d: KrajewskiDiagram) -> StepCodes:
     derived once per diagram.  They cover each Γ̃ edge and each step a walk
     of the diagram takes, the row steps of vertical edges included, which
     need not be Γ̃ edges."""
-    return d.index.stage("step_codes", lambda: _step_codes(_label_steps(d)))
-
-
-def _label_steps(d: KrajewskiDiagram) -> Iterator[tuple[RepLabel, RepLabel]]:
-    """The column step and the row step of each edge with known endpoints."""
-    vertices = d.index.vertices
-    for e in d.edges:
-        s, t = vertices.get(e.source), vertices.get(e.target)
-        if s is not None and t is not None:
-            yield s.col, t.col
-            yield s.row, t.row
+    return d.index.stage("step_codes", lambda: _step_codes(
+        step for _e, s, t, _part in d.index.known_edges for step in ((s.col, t.col), (s.row, t.row))
+    ))
 
 
 def _cycle_block(labels: Sequence[RepLabel], codes: StepCodes | None = None) -> Block:
@@ -233,18 +225,6 @@ def _cycle_block(labels: Sequence[RepLabel], codes: StepCodes | None = None) -> 
     walk = [code[step] for step in zip(labels, labels[1:] + labels[:1])]
     dagger = tuple([c ^ 1 for c in reversed(walk)])
     return tuple([slot[c] for c in least_rotation(tuple(walk), dagger)])
-
-
-def cycle_display(cycle: Cycle, algebra: FiniteAlgebra) -> str:
-    n = len(cycle)
-    return "".join(
-        f"({cycle[i].display(algebra)} {cycle[(i + 1) % n].display(algebra)})"
-        for i in range(n)
-    )
-
-
-def edge_display(edge: ProjEdge, algebra: FiniteAlgebra) -> str:
-    return f"{{{edge[0].display(algebra)},{edge[1].display(algebra)}}}"
 
 
 def structure_display(term: InvariantTerm, algebra: FiniteAlgebra) -> str:
@@ -322,10 +302,6 @@ def _quartic_coefficient(edge_ids: tuple[str, ...]) -> tuple[str, tuple[tuple[st
     factors = tuple((eid, f"p{i + 1}") for i, eid in enumerate(edge_ids))
     display = "prop. to " + " ".join(f"M_{eid}^{p}" for eid, p in factors)
     return display, factors
-
-
-def _walk_display(vertices: tuple[str, ...]) -> str:
-    return " -> ".join(vertices + (vertices[0],))
 
 
 def _gauge_and_edge_terms(

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .algebra import irrep_correspondence_check
-from .diagram import KrajewskiDiagram
-from .rconnect import RConnectReport, check_r_connected
+if TYPE_CHECKING:
+    from .diagram import KrajewskiDiagram
+    from .rconnect import RConnectReport
 
 __all__ = [
     "GraphProfile",
@@ -230,6 +230,10 @@ def renorm_verdict(d: KrajewskiDiagram, n: int | ExpansionOrder) -> Verdict:
     every multi-loop graph with an external line converges; at n = 8 the
     two-loop vacuum graph is marginal, which ORDER_EIGHT_VACUUM_NOTE records.
     """
+    # imported at call time: power counting without a diagram runs no diagram code
+    from .algebra import irrep_correspondence_check
+    from .rconnect import check_r_connected
+
     order = expansion_order(n)
     irrep_ok, irrep_detail = irrep_correspondence_check(d.algebra)
     report = check_r_connected(d, 4)

@@ -28,6 +28,7 @@ from kra import (
     structural_key,
     validate_profile,
 )
+from kra import graphs, invariants
 from kra.invariants import cycle_display, structure_display
 
 from conftest import (
@@ -72,6 +73,9 @@ def test_criterion_2_counterexample_pipeline():
     assert len(missing) == 1
     pair = {cycle_display(c, d.algebra) for c in missing[0].pair}
     assert pair == {"(1 2)(2 1)", "(1~ 3)(3 1~)"}
+    # each display function is defined beside the type it prints
+    assert invariants.cycle_display is graphs.cycle_display
+    assert invariants.edge_display is graphs.edge_display
 
     cov = counterterm_coverage(d)
     assert cov.complete is False

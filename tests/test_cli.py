@@ -362,6 +362,31 @@ class TestJsonEnvelopes:
         assert result["failing_hypotheses"] == ["R-connectedness fails"]
 
 
+class TestRendering:
+    """``check-rconnect`` builds the text of each cycle once per report, and
+    every entry that names the cycle shares it."""
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "family, size, cycles", [(path_diagram, 20, 20), (ring_diagram, 11, 12)],
+        ids=["path20", "ring11"],
+    )
+    def test_each_cycle_is_rendered_once(self, monkeypatch, tmp_path, fmt, family, size, cycles):
+        rendered = []
+        display = kra.graphs.cycle_display
+
+        def counted(cycle, algebra):
+            rendered.append(cycle)
+            return display(cycle, algebra)
+
+        monkeypatch.setattr(kra.graphs, "cycle_display", counted)
+        path = tmp_path / "d.kra"
+        path.write_text(serialize(family(size)), encoding="utf-8")
+        code, _out, err = run("check-rconnect", "--dim", "8", str(path), *fmt)
+        assert (code, err) == (0, "")
+        assert len(rendered) == len(set(rendered)) == cycles
+
+
 class TestWarnings:
     def test_ko_subtlety_warning_reaches_the_envelope(self, tmp_path):
         doc = tmp_path / "odd.kra"

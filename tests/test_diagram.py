@@ -258,6 +258,14 @@ class TestValidation:
         assert not report.ok
         assert any(e.check == "structure" for e in report.failures())
 
+    def test_an_edge_with_an_unknown_endpoint_has_no_projection(self):
+        # as in every index table: Γ̃ of an unvalidated diagram leaves it out
+        algebra, vertices, edges, jmap = self._two_vertex_parts()
+        bad = edges + (EdgePair("zz", "a", "nowhere", SymbolicOperator("q")),)
+        g = project(KrajewskiDiagram(algebra, 0, vertices, bad, jmap))
+        assert g == project(KrajewskiDiagram(algebra, 0, vertices, edges, jmap))
+        assert "zz" not in g.psi
+
     def test_missing_sign_in_even_ko_dimension_fails_grading(self):
         algebra, vertices, edges, jmap = self._two_vertex_parts()
         unsigned = (

@@ -42,11 +42,12 @@ def _env(**extra: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"), **extra)
 
 
-def _fresh(*argv: str) -> tuple[set[str], bool]:
-    """(submodules executed, json imported) after ``import kra.cli`` and,
-    with argv, ``main(argv)``, in a fresh interpreter."""
+def _fresh(*argv: str, probe: str = _PROBE) -> tuple[set[str], bool]:
+    """(submodules executed, json imported) after ``probe`` imports the cli
+    (``import kra.cli`` by default) and, with argv, calls ``main(argv)``, in
+    a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -58,6 +59,12 @@ def test_importing_the_cli_executes_no_submodule():
     assert _fresh() == (set(), False)
 
 
+def test_importing_the_cli_from_the_package_executes_no_submodule():
+    # ``from kra import cli`` asks the package for ``cli`` before it imports it
+    probe = _PROBE.replace("import kra.cli", "from kra import cli", 1)
+    assert _fresh(probe=probe) == (set(), False)
+
+
 #: argv -> (a submodule it must execute, submodules it must not execute)
 TEXT_RUNS = {
     ("validate", "--builtin", "sm"): ("diagram", ANALYSIS | {"dsl"}),
@@ -65,8 +72,9 @@ TEXT_RUNS = {
     ("builtins",): ("builtins", ANALYSIS | {"dsl"}),
     ("fmt", "bench/fixtures/chain.kra"): ("dsl", ANALYSIS),
     ("counterterms", "--builtin", "sm"): ("invariants", {"dsl"}),
-    ("check-rconnect", "--builtin", "chain"): ("rconnect", {"dsl"}),
+    ("check-rconnect", "--builtin", "chain"): ("rconnect", {"dsl", "invariants"}),
     ("verdict", "--builtin", "sm"): ("powercount", {"dsl"}),
+    ("powercount",): ("powercount", {"rconnect", "graphs", "diagram", "dsl"}),
 }
 
 
