@@ -12,7 +12,8 @@ The package exports every name in its submodules' ``__all__``.  Importing
 it executes none of them: each submodule is put into ``sys.modules`` and
 onto the package through ``importlib.util.LazyLoader``, so its body runs
 at the first read of one of its attributes, and the exported names are
-resolved on first use (PEP 562).
+resolved on first use (PEP 562) through a table of which submodule
+exports each.
 """
 
 from __future__ import annotations
@@ -22,10 +23,48 @@ import sys
 
 __version__ = "0.1.0"
 
-_SUBMODULES = (
-    "algebra", "builtins", "diagram", "dsl", "exactlin", "graphs", "invariants", "powercount",
-    "rconnect",
-)
+#: each submodule and the names it exports, in the order of its ``__all__``
+#: (tests/test_exports.py checks that the two agree), so that the package
+#: answers for any name without executing a submodule
+_SUBMODULES = {
+    "algebra": (
+        "FactorKind", "AlgebraFactor", "FiniteAlgebra", "RepLabel", "GaugeAlgebraDecomposition",
+        "UnimodularityRelation", "gauge_lie_algebra", "simple_factor_dimension",
+        "algebra_dimension", "unimodularity_relation", "irrep_correspondence_check",
+    ),
+    "builtins": ("builtin", "BUILTIN_SUMMARIES"),
+    "diagram": (
+        "KOSigns", "ko_signs", "DiagramVertex", "SymbolicOperator", "NumericOperator", "EdgePair",
+        "KrajewskiDiagram", "DiagramIndex", "DiracPart", "edge_part", "dirac_decomposition",
+        "CheckResult", "ValidationReport", "validate", "resolve_jmap", "hilbert_dimension",
+        "fundamental_multiplicities", "structural_key",
+    ),
+    "dsl": ("SourceSpan", "ParseError", "parse", "serialize", "format_entry"),
+    "exactlin": ("GaussRational", "Matrix", "matrix_rank", "span_rank"),
+    "graphs": (
+        "Cycle", "ProjEdge", "ProjectedGraph", "LiftWitness", "proj_edge", "project",
+        "canonical_cycle", "cycle_display", "enumerate_cycles", "diagram_cycles", "cycle_pairs",
+        "lift_cycle", "lift_pair",
+    ),
+    "invariants": (
+        "TermKind", "TraceSlot", "FieldComponent", "FieldInventory", "InvariantTerm",
+        "CoverageReport", "enumerate_fields", "basis_dimension", "action_terms",
+        "required_counterterms", "counterterm_coverage", "canonical_block", "canonical_key",
+        "collapse_blocks", "structure_display",
+    ),
+    "powercount": (
+        "GraphProfile", "ExpansionOrder", "HeatKernelCoefficients", "Verdict", "expansion_order",
+        "validate_profile", "omega_bound", "omega_external", "heat_kernel_coefficients",
+        "propagator_uv_degrees", "renorm_verdict", "NON_MULTIPLICATIVE_NOTE", "ORDER_FOUR_NOTE",
+        "ORDER_EIGHT_VACUUM_NOTE", "IRREP_HYPOTHESIS", "RCONNECT_HYPOTHESIS",
+    ),
+    "rconnect": (
+        "Exemption", "RConnectReport", "exemption_check", "check_r_connected",
+        "SHARED_TRIVIAL_VERTEX", "QUATERNION_CONJUGATE_PAIR",
+    ),
+}
+
+__all__ = ["__version__", *(name for names in _SUBMODULES.values() for name in names)]
 
 for _name in _SUBMODULES:
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
@@ -37,20 +76,27 @@ del _name, _spec, _module
 
 
 def __getattr__(name: str):
-    if name == "__all__":
-        value = ["__version__"] + [n for m in _SUBMODULES for n in globals()[m].__all__]
-    elif name.isidentifier() and importlib.util.find_spec(f"{__name__}.{name}") is not None:
-        # a module of the package not yet imported, such as ``cli``: ``from
-        # kra import cli`` asks for it before it imports it
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    else:
-        owner = next((m for m in _SUBMODULES if name in globals()[m].__all__), None)
-        if owner is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(globals()[owner], name)
-    globals()[name] = value
-    return value
+    # a name no submodule exports, such as ``cli`` before ``from kra import
+    # cli`` imports it, is refused without executing any submodule
+    for module, names in _SUBMODULES.items():
+        if name in names:
+            globals()[name] = value = getattr(globals()[module], name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _decimal_int(text: str) -> int:
+    """The integer that ``text`` writes as an optional minus sign and ASCII
+    digits.  ``int`` also reads other Unicode digits, surrounding spaces,
+    ``_`` separators and a plus sign; here any text but ``-?[0-9]+`` raises
+    ValueError, as does one too long for ``int``.  It reads the integers of
+    the command line and of builtin names, so it lives here, where reading
+    one executes no submodule."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def __dir__() -> list[str]:
-    return list({*globals(), *sys.modules[__name__].__all__})
+    return list({*globals(), *__all__})

@@ -15,6 +15,7 @@ Three families ship with the package:
 
 from __future__ import annotations
 
+from . import _decimal_int
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
 from .diagram import DiagramVertex, EdgePair, KrajewskiDiagram, SymbolicOperator
 
@@ -27,22 +28,11 @@ BUILTIN_SUMMARIES: dict[str, str] = {
 }
 
 
-def decimal_int(text: str) -> int:
-    """The integer that ``text`` writes as an optional minus sign and ASCII
-    digits.  ``int`` also reads other Unicode digits, surrounding spaces,
-    ``_`` separators and a plus sign; here any text but ``-?[0-9]+`` raises
-    ValueError, as does one too long for ``int``."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
 def builtin(name: str, param: int | None = None) -> KrajewskiDiagram:
     """Return a builtin diagram by name ("ym" needs its size parameter)."""
     if name.startswith("ym:") and param is None:
         try:
-            param = decimal_int(name.split(":", 1)[1])
+            param = _decimal_int(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad ym size in {name!r}") from None
         name = "ym"

@@ -20,7 +20,10 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import __version__, algebra, builtins, diagram, dsl, graphs, invariants, powercount, rconnect
+from . import (
+    __version__, _decimal_int, algebra, builtins, diagram, dsl, graphs, invariants, powercount,
+    rconnect,
+)
 
 if TYPE_CHECKING:
     from .diagram import KrajewskiDiagram, ValidationReport
@@ -42,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_arg(text: str) -> int:
     try:
-        return builtins.decimal_int(text)
+        return _decimal_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
@@ -321,7 +324,7 @@ def _parse_profile(text: str) -> GraphProfile:
     vertices: dict[tuple[int, int], int] = {}
     for key, count in valences.items():
         try:
-            i, j = (builtins.decimal_int(part) for part in key.split(","))
+            i, j = (_decimal_int(part) for part in key.split(","))
         except ValueError:
             raise _CliError(
                 64, f"kra: error: bad vertex valence key {key!r} (want 'i,j')"

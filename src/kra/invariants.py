@@ -31,7 +31,9 @@ renormalizable).
 ``InvariantTerm``, ``CoverageEntry`` and ``CoverageReport`` are named
 tuples: a required term and a coverage entry are built per pair of cycles,
 so they cost no more than a tuple.  A record equals the plain tuple of its
-fields, iterates over them, and is copied with ``_replace``.
+fields, iterates over them, and is copied with ``_replace``.  The loops that
+build one per pair or per term call ``_make`` on a positional tuple, less
+than half the cost of a call with keywords.
 """
 
 from __future__ import annotations
@@ -299,9 +301,8 @@ def enumerate_fields(d: KrajewskiDiagram) -> FieldInventory:
 
 
 def _quartic_coefficient(edge_ids: tuple[str, ...]) -> tuple[str, tuple[tuple[str, str], ...]]:
-    factors = tuple((eid, f"p{i + 1}") for i, eid in enumerate(edge_ids))
-    display = "prop. to " + " ".join(f"M_{eid}^{p}" for eid, p in factors)
-    return display, factors
+    factors = tuple([(eid, f"p{i}") for i, eid in enumerate(edge_ids, 1)])
+    return "prop. to " + " ".join([f"M_{eid}^{p}" for eid, p in factors]), factors
 
 
 def _gauge_and_edge_terms(
@@ -312,15 +313,10 @@ def _gauge_and_edge_terms(
     ``edge_origin`` are format strings over ``edge`` (the edge's display)
     and ``over`` (the ids of the horizontal edge pairs over it)."""
     algebra = d.algebra
+    make = InvariantTerm._make
     terms = [
-        InvariantTerm(
-            kind=TermKind.YANG_MILLS_F2,
-            blocks=(),
-            coefficient=f2_coefficient,
-            origin="gauge sector",
-            gauge_factor=f"{series}({k})[{i}]",
-        )
-        for i, (series, k) in enumerate(gauge_lie_algebra(algebra).simple_factors)
+        make((TermKind.YANG_MILLS_F2, (), f2_coefficient, "gauge sector", f"{s}({k})[{i}]", ()))
+        for i, (s, k) in enumerate(gauge_lie_algebra(algebra).simple_factors)
     ]
     codes = _diagram_step_codes(d)
     for edge in project(d).non_loop_edges:
@@ -329,15 +325,10 @@ def _gauge_and_edge_terms(
             "over": ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ()))),
         }
         blocks = (_cycle_block(edge, codes),)
-        for kind in (TermKind.SCALAR_MASS, TermKind.SCALAR_KINETIC):
-            terms.append(
-                InvariantTerm(
-                    kind=kind,
-                    blocks=blocks,
-                    coefficient=edge_coefficient.format(**texts),
-                    origin=edge_origin.format(**texts),
-                )
-            )
+        coefficient = edge_coefficient.format(**texts)
+        origin = edge_origin.format(**texts)
+        terms.append(make((TermKind.SCALAR_MASS, blocks, coefficient, origin, None, ())))
+        terms.append(make((TermKind.SCALAR_KINETIC, blocks, coefficient, origin, None, ())))
     return terms
 
 
@@ -368,7 +359,8 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     mixed: list[InvariantTerm] = []  # two horizontal and two vertical steps
     codes = _diagram_step_codes(d)
     walked: set = set()  # the label walk pairs met so far
-    seen: set = set()
+    seen: set = set()  # the blocks of the quartic terms made so far
+    make, quartic = InvariantTerm._make, TermKind.QUARTIC
     kinds = ((walks, 4, "walk"), (mixed, 2, "mixed walk"))
     for start, halves, back in _quartic_halves(d.index):
         for first, e2, b, h, cols, rows in halves:
@@ -381,21 +373,18 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
                     if labels in walked:
                         continue  # its term is in seen already
                     walked.add(labels)
-                    term_blocks = tuple(sorted(_cycle_block(w, codes) for w in labels if w))
-                    key = (TermKind.QUARTIC.value, term_blocks)
-                    if key in seen:
+                    col = _cycle_block(labels[0], codes)
+                    if not labels[1]:
+                        blocks = (col,)
+                    else:  # a mixed walk: its row trace is a second block
+                        row = _cycle_block(labels[1], codes)
+                        blocks = (col, row) if col <= row else (row, col)
+                    if blocks in seen:
                         continue
-                    seen.add(key)
+                    seen.add(blocks)
                     coeff, factors = _quartic_coefficient((e1, e2, e3, e4))
-                    out.append(
-                        InvariantTerm(
-                            kind=TermKind.QUARTIC,
-                            blocks=term_blocks,
-                            coefficient=coeff,
-                            origin=f"{name} {_walk_display((start, a, b, c))}",
-                            coefficient_factors=factors,
-                        )
-                    )
+                    origin = f"{name} {_walk_display((start, a, b, c))}"
+                    out.append(make((quartic, blocks, coeff, origin, None, factors)))
     return tuple(terms + walks + mixed)
 
 
@@ -479,16 +468,16 @@ def _required_counterterms(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]
     ):
         table.setdefault(_built_key(t), t)
 
-    quartic = TermKind.QUARTIC.value
+    make, quartic = InvariantTerm._make, TermKind.QUARTIC
+    quartic_key = quartic.value  # the first item of a quartic's key
+    coefficient = "independent coefficient per index tuple"
 
     def keep(blocks: tuple[Block, ...], origin: str) -> None:
         """Add a quartic with these sorted, canonical blocks unless its key
         is in the table already."""
-        key = (quartic, blocks)
+        key = (quartic_key, blocks)
         if key not in table:
-            table[key] = InvariantTerm(
-                TermKind.QUARTIC, blocks, "independent coefficient per index tuple", origin
-            )
+            table[key] = make((quartic, blocks, coefficient, origin, None, ()))
 
     # the strict 4-cycles, then the pairs of total length up to 4, which are
     # all pairs of 2-cycles
@@ -497,17 +486,23 @@ def _required_counterterms(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]
     for c in cycles:
         if len(c) == 4:
             keep((_cycle_block(c, codes),), f"4-cycle {cycle_display(c, algebra)}")
-    two_cycles = tuple(c for c in cycles if len(c) == 2)
-    block_of = {c: _cycle_block(c, codes) for c in two_cycles}
-    shown = {c: cycle_display(c, algebra) for c in two_cycles}
+    # each 2-cycle's block and display, read once per pair
+    shown = {c: (_cycle_block(c, codes), cycle_display(c, algebra)) for c in cycles if len(c) == 2}
     for (c1, c2), ex in pair_exemptions(d, 4).items():
-        b1, b2 = block_of[c1], block_of[c2]
-        origin = f"cycle pair {shown[c1]} + {shown[c2]}"
-        if ex.clause == SHARED_TRIVIAL_VERTEX:
-            collapsed = _collapse_at(b1, b2, ex.vertex)
-            keep((collapsed,), f"{origin}, collapsed at the shared trivial vertex")
-        elif not ex.exempt:  # a quaternion-conjugate pair gives no term
-            keep((b1, b2) if b1 <= b2 else (b2, b1), origin)
+        (b1, s1), (b2, s2) = shown[c1], shown[c2]
+        if not ex.exempt:
+            # no keep: distinct pairs have distinct blocks, and every key made
+            # before has one block, so this key is new
+            blocks = (b1, b2) if b1 <= b2 else (b2, b1)
+            table[quartic_key, blocks] = make(
+                (quartic, blocks, coefficient, f"cycle pair {s1} + {s2}", None, ())
+            )
+        elif ex.clause == SHARED_TRIVIAL_VERTEX:
+            keep(
+                (_collapse_at(b1, b2, ex.vertex),),
+                f"cycle pair {s1} + {s2}, collapsed at the shared trivial vertex",
+            )
+        # a quaternion-conjugate pair gives no term
     return MappingProxyType(table)
 
 
@@ -544,8 +539,5 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
             if collapsed is not None:
                 index.setdefault((TermKind.QUARTIC.value, (collapsed,)), t)
     # the table's keys come in the order of required_counterterms
-    entries = tuple(
-        CoverageEntry(req, index.get(key))
-        for key, req in zip(_required_table(d), required_counterterms(d))
-    )
-    return CoverageReport(entries)
+    matches = map(index.get, _required_table(d))
+    return CoverageReport(tuple(map(CoverageEntry._make, zip(required_counterterms(d), matches))))

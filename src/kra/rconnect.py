@@ -27,7 +27,8 @@ worked examples require; ``strict_bounds`` switches to the literal "< m".
 The records ``Exemption``, ``CycleLift``, ``PairLift`` and ``RConnectReport``
 are named tuples: one is built per pair, so they cost no more than a tuple.
 A record equals the plain tuple of its fields, iterates over them, and is
-copied with ``_replace``.
+copied with ``_replace``.  The pair loop builds each ``PairLift`` with
+``_make`` on a positional tuple, the cheapest way to build a named tuple.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .diagram import KrajewskiDiagram
 from .graphs import (
     Cycle,
     LiftWitness,
-    cycle_pairs,
     diagram_cycles,
     lift_cycle,
     lift_pair,
@@ -104,8 +104,17 @@ def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cyc
     in the order of ``cycle_pairs``, decided once per diagram and bound."""
 
     def decide():
-        pairs = cycle_pairs(diagram_cycles(d, bound), bound)
-        return MappingProxyType({(c1, c2): exemption_check(c1, c2, d) for c1, c2 in pairs})
+        # the cycles come sorted by length: the first c2 too long to pair
+        # with c1 ends the pairs of c1
+        cycles = diagram_cycles(d, bound)
+        table = {}
+        for i, c1 in enumerate(cycles):
+            room = bound - len(c1)
+            for c2 in cycles[i:]:
+                if len(c2) > room:
+                    break
+                table[c1, c2] = exemption_check(c1, c2, d)
+        return MappingProxyType(table)
 
     return d.index.stage(("exemptions", bound), decide)
 
@@ -179,6 +188,7 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
     # path n the calls are 2(n - 1), against about n^2 without it
     column_rows = d.index.column_rows
     reach = {c: frozenset().union(*(column_rows.get(col, ()) for col in c)) for c in cycles}
+    make = PairLift._make
     cond2 = []
     for pair, ex in exemptions.items():
         witness = None
@@ -188,7 +198,7 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
                 witness = lift_pair(c1, c2, d)
             if witness is None and not reach[c2].isdisjoint(c1):
                 witness = lift_pair(c2, c1, d)
-        cond2.append(PairLift(pair, ex, witness))
+        cond2.append(make((pair, ex, witness)))
 
     cond3 = _condition_three(cycles, exemptions, bound)
     return RConnectReport(m, strict_bounds, cond1, tuple(cond2), cond3)

@@ -140,3 +140,28 @@ def test_full_analysis_leaves_no_kra_function_in_garbage(build, monkeypatch):
         gc.garbage.clear()
         gc.enable()
     assert leaked == []
+
+
+def test_an_analysis_keeps_few_objects_per_pair_of_cycles(monkeypatch):
+    """The tracked objects an analysis of path n keeps, per pair of Γ̃-cycles.
+
+    The report lists each of the n(n + 1)/2 pairs of 2-cycles, so what the
+    analysis keeps is about a + b·n + c·pairs objects: a per diagram, b per
+    edge and c per pair.  The second difference over n = 20, 40, 60 is
+    about c·20², free of a and b, which may differ between Python versions;
+    c should not, since every object kept per pair is a tuple."""
+    analyse = _analyse(monkeypatch)
+
+    def kept(n: int) -> int:
+        d = must_validate(path_diagram(n))
+        gc.collect()
+        before = len(gc.get_objects())
+        result = analyse(d)
+        gc.collect()
+        after = len(gc.get_objects())
+        assert len(result.rconnect.cond2) == n * (n + 1) // 2
+        return after - before
+
+    kept(2)  # the first analysis in a process also fills one-time caches
+    small, middle, large = (kept(n) for n in (20, 40, 60))
+    assert (large - 2 * middle + small) / 20**2 <= 6.4

@@ -1,4 +1,5 @@
-"""``kra.__all__`` is read from the submodules' ``__all__``."""
+"""``kra.__all__`` is the union of the submodules' ``__all__``, read from
+the package's table of which submodule exports each name."""
 
 from __future__ import annotations
 
@@ -25,6 +26,16 @@ def test_all_is_the_union_of_the_submodules():
     for module in modules:
         for name in module.__all__:
             assert getattr(kra, name) is getattr(module, name), name
+
+
+def test_the_table_of_exports_matches_each_submodule():
+    # the package answers from its table without executing a submodule, so
+    # the table must list each submodule's __all__, in order
+    table = kra._SUBMODULES
+    assert tuple(table) == SUBMODULES
+    for name in SUBMODULES:
+        assert list(table[name]) == importlib.import_module(f"kra.{name}").__all__, name
+    assert kra.__all__ == ["__version__", *(n for name in SUBMODULES for n in table[name])]
 
 
 def test_long_standing_names_are_still_exported():

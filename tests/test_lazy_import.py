@@ -65,6 +65,13 @@ def test_importing_the_cli_from_the_package_executes_no_submodule():
     assert _fresh(probe=probe) == (set(), False)
 
 
+def test_asking_the_package_for_an_unknown_name_executes_no_submodule():
+    probe = _PROBE.replace("import kra.cli", "import kra\nassert not hasattr(kra, 'foo')", 1)
+    assert _fresh(probe=probe) == (set(), False)
+
+
+ONLY_POWERCOUNT = ("powercount", set(SUBMODULES) - {"powercount"})
+
 #: argv -> (a submodule it must execute, submodules it must not execute)
 TEXT_RUNS = {
     ("validate", "--builtin", "sm"): ("diagram", ANALYSIS | {"dsl"}),
@@ -74,7 +81,10 @@ TEXT_RUNS = {
     ("counterterms", "--builtin", "sm"): ("invariants", {"dsl"}),
     ("check-rconnect", "--builtin", "chain"): ("rconnect", {"dsl", "invariants"}),
     ("verdict", "--builtin", "sm"): ("powercount", {"dsl"}),
-    ("powercount",): ("powercount", {"rconnect", "graphs", "diagram", "dsl"}),
+    # these read integers, and a profile's JSON, but need no other module
+    ("powercount",): ONLY_POWERCOUNT,
+    ("powercount", "-n", "8"): ONLY_POWERCOUNT,
+    ("powercount", "-n", "8", "--profile", '{"L":1,"V":{"3,0":2},"E_A":2}'): ONLY_POWERCOUNT,
 }
 
 
@@ -84,7 +94,7 @@ def test_a_text_run_executes_only_the_modules_it_calls(argv):
     executed, json_loaded = _fresh(*argv)
     assert needed in executed
     assert not executed & skipped
-    assert not json_loaded
+    assert json_loaded == ("--profile" in argv)  # a profile is JSON
 
 
 def test_a_json_run_imports_json():
