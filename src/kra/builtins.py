@@ -62,18 +62,15 @@ def _yang_mills(n: int) -> KrajewskiDiagram:
     )
 
 
+# C ⊕ H ⊕ M₃(C), the algebra of sm and chain, and its labels 1, 1̄, 2 and 3
+_SM_ALGEBRA = FiniteAlgebra.of(
+    (1, FactorKind.COMPLEX), (1, FactorKind.QUATERNION), (3, FactorKind.COMPLEX)
+)
+_SM_LABELS = (RepLabel(0), RepLabel(0, conjugate=True), RepLabel(1), RepLabel(2))
+
+
 def _standard_model() -> KrajewskiDiagram:
-    algebra = FiniteAlgebra(
-        (
-            AlgebraFactor(1, FactorKind.COMPLEX),
-            AlgebraFactor(1, FactorKind.QUATERNION),
-            AlgebraFactor(3, FactorKind.COMPLEX),
-        )
-    )
-    c1 = RepLabel(0)
-    c1b = RepLabel(0, conjugate=True)
-    h2 = RepLabel(1)
-    c3 = RepLabel(2)
+    c1, c1b, h2, c3 = _SM_LABELS
 
     vertices = (
         # Left-handed doublets and right-handed singlets (columns act).
@@ -112,7 +109,7 @@ def _standard_model() -> KrajewskiDiagram:
         ("dR", "dRc"),
     )
     return KrajewskiDiagram(
-        algebra=algebra,
+        algebra=_SM_ALGEBRA,
         kodim=6,
         vertices=vertices,
         edges=edges,
@@ -122,17 +119,7 @@ def _standard_model() -> KrajewskiDiagram:
 
 
 def _chain() -> KrajewskiDiagram:
-    algebra = FiniteAlgebra(
-        (
-            AlgebraFactor(1, FactorKind.COMPLEX),
-            AlgebraFactor(1, FactorKind.QUATERNION),
-            AlgebraFactor(3, FactorKind.COMPLEX),
-        )
-    )
-    c1 = RepLabel(0)
-    c1b = RepLabel(0, conjugate=True)
-    h2 = RepLabel(1)
-    c3 = RepLabel(2)
+    c1, c1b, h2, c3 = _SM_LABELS
 
     vertices = (
         # Along row 1°: columns 1, 2, 1̄, 3.
@@ -155,7 +142,7 @@ def _chain() -> KrajewskiDiagram:
     )
     jmap = (("a1", "a1"), ("a2", "b2"), ("a3", "b3"), ("a4", "b4"))
     return KrajewskiDiagram(
-        algebra=algebra,
+        algebra=_SM_ALGEBRA,
         kodim=0,
         vertices=vertices,
         edges=edges,

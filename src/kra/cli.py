@@ -202,16 +202,18 @@ def _terms_text(title: str, r: dict) -> list[str]:
 
 def _coverage_result(args, d: KrajewskiDiagram, report) -> dict:
     coverage = invariants.counterterm_coverage(d)
-    missing = [_term_json(t, d) for t in coverage.missing]
+    entries = [
+        {
+            "required": _term_json(entry.required, d),
+            "matched": None if entry.matched is None else _term_json(entry.matched, d),
+        }
+        for entry in coverage.entries
+    ]
+    # each missing term is the required piece of its entry, rendered once
+    missing = [entry["required"] for entry in entries if entry["matched"] is None]
     return {
         "complete": coverage.complete,
-        "entries": [
-            {
-                "required": _term_json(entry.required, d),
-                "matched": None if entry.matched is None else _term_json(entry.matched, d),
-            }
-            for entry in coverage.entries
-        ],
+        "entries": entries,
         "missing": missing,
         "missing_count": len(missing),
     }
@@ -297,9 +299,6 @@ def _rconnect_text(r: dict) -> list[str]:
     return lines
 
 
-_PROFILE_FIELDS = frozenset("L I_A I_chi I_ghost V_ghostA V_ghostChi E_A E_chi E_ghost".split())
-
-
 def _profile_int(value, what: str) -> int:
     # bool is an int subclass, and int() would truncate a float or parse a string
     if type(value) is not int:
@@ -310,6 +309,7 @@ def _profile_int(value, what: str) -> int:
 
 
 def _parse_profile(text: str) -> GraphProfile:
+    import dataclasses
     import json
 
     try:
@@ -330,8 +330,9 @@ def _parse_profile(text: str) -> GraphProfile:
                 64, f"kra: error: bad vertex valence key {key!r} (want 'i,j')"
             ) from None
         vertices[(i, j)] = _profile_int(count, f"vertex count V[{key!r}]")
-    fields = {k: _profile_int(v, f"field {k}") for k, v in raw.items() if k in _PROFILE_FIELDS}
-    unknown = set(raw) - _PROFILE_FIELDS - {"V"}
+    counts = {f.name for f in dataclasses.fields(powercount.GraphProfile)} - {"V"}
+    fields = {k: _profile_int(v, f"field {k}") for k, v in raw.items() if k in counts}
+    unknown = set(raw) - counts - {"V"}
     if unknown:
         raise _CliError(64, f"kra: error: unknown profile fields: {sorted(unknown)}")
     if "L" not in fields:

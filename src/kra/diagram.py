@@ -424,11 +424,11 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     )
 
     # First-order condition: every edge runs horizontally or vertically.
-    diagonal = []
-    for edge in d.edges:
-        s, t = verts[edge.source], verts[edge.target]
-        if s.col != t.col and s.row != t.row:
-            diagonal.append(f"edge {edge.id} connects ({edge.source}) and ({edge.target})")
+    diagonal = [
+        f"edge {edge.id} connects ({edge.source}) and ({edge.target})"
+        for edge in d.edges
+        if _dirac_part(verts[edge.source], verts[edge.target]) is None
+    ]
     entries.append(
         CheckResult("first-order", not diagonal, "error", tuple(diagonal))
     )

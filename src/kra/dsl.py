@@ -25,7 +25,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
 from .diagram import (
@@ -60,47 +60,76 @@ class ParseError(Exception):
         return text
 
 
-_WORD = r"[A-Za-z_][A-Za-z0-9_]*~?"
+# ---------------------------------------------------------------------------
+# The grammar, stated once: the one-match line pattern, the token pattern and
+# the walk of a tokenized line are all built from these three tables.
 
-_TOKEN_PATTERN = rf"""
-    (?P<word>{_WORD})
-  | (?P<int>[0-9]+)
-  | (?P<darrow><->)
-  | (?P<arrow>->)
-  | (?P<sign>[+-])
-  | (?P<lbracket>\[)
-    """
+# Each token kind and its pattern, in the order the tokenizer tries them.  A
+# matrix literal runs to the end of the line.
+_KINDS = {
+    "word": r"[A-Za-z_][A-Za-z0-9_]*~?",
+    "int": r"[0-9]+",
+    "darrow": r"<->",
+    "arrow": r"->",
+    "sign": r"[+-]",
+    "matrix": r"\[.*",
+}
 
-# A well-formed declaration line in one match: the directive and its fields
-# separated by spaces, with no tab, comment or adjacent tokens (a matrix
-# literal still runs to the end of the line).  Each field group is the token
-# the tokenizer would read at the same column, so a line this takes parses
-# as the token path parses it; any other line goes through _parse_tokens.
-_LINE_PATTERN = rf"""
-    \ *(?:
-      (?P<vertex>vertex\ +(?P<vid>{_WORD})\ +(?P<vcol>{_WORD})\ +(?P<vrow>{_WORD})
-        (?:\ +(?P<vsign>[+-]))?)
-    | (?P<edge>edge\ +(?P<eid>{_WORD})\ +(?P<esrc>{_WORD})\ +->\ +(?P<edst>{_WORD})
-        (?:\ +label\ +(?P<elabel>{_WORD})|\ +matrix\ +(?P<ematrix>\[.*))?)
-    | (?P<jmap>jmap\ +(?P<jleft>{_WORD})\ +<->\ +(?P<jright>{_WORD}))
-    | (?P<factor>factor\ +(?P<fname>{_WORD})\ +(?P<fkind>{_WORD})\ +(?P<fsize>[0-9]+))
-    | (?P<kodim>kodim\ +(?P<kvalue>[0-9]+))
-    | (?P<families>families\ +(?P<nvalue>[0-9]+))
-    )\ *
-    """
+# The fields of each directive in order: (the line pattern's group, or None
+# for a token no builder reads; the token kind; what a missing one is called,
+# or None for the optional vertex sign).
+_GRAMMAR = {
+    "factor": (("fname", "word", "factor name"), ("fkind", "word", "field kind R|C|H"),
+               ("fsize", "int", "factor size")),
+    "kodim": (("kvalue", "int", "KO-dimension 0..7"),),
+    "families": (("nvalue", "int", "family count"),),
+    "vertex": (("vid", "word", "vertex id"), ("vcol", "word", "column rep"),
+               ("vrow", "word", "row rep"), ("vsign", "sign", None)),
+    "edge": (("eid", "word", "edge id"), ("esrc", "word", "source vertex"),
+             (None, "arrow", "'->'"), ("edst", "word", "target vertex")),
+    "jmap": (("jleft", "word", "vertex id"), (None, "darrow", "'<->'"),
+             ("jright", "word", "vertex id")),
+}
+
+# The optional clause that may end a directive's line: its keyword -> the
+# field that follows it, as in _GRAMMAR.
+_CLAUSES = {
+    "edge": {"label": ("elabel", "word", "operator label"),
+             "matrix": ("ematrix", "matrix", "matrix literal")},
+}
 
 
 @functools.cache
 def _line_re() -> re.Pattern[str]:
-    """_LINE_PATTERN, compiled at the first parse: about 2 ms that a process
-    reading no .kra text does not pay at import."""
-    return re.compile(_LINE_PATTERN, re.VERBOSE)
+    """A declaration line spaced as serialize writes it, in one match.  The
+    directives are tried in reverse grammar order, so the frequent ones
+    (jmap, edge, vertex) come first.  Compiled at the first parse: about 2 ms
+    that a process reading no .kra text does not pay."""
+
+    def capture(group: str | None, kind: str) -> str:
+        return _KINDS[kind] if group is None else f"(?P<{group}>{_KINDS[kind]})"
+
+    forms = []
+    for directive in reversed(_GRAMMAR):
+        body = "".join(
+            f" +{capture(group, kind)}" if what else f"(?: +{capture(group, kind)})?"
+            for group, kind, what in _GRAMMAR[directive]
+        )
+        clause = _CLAUSES.get(directive)
+        if clause:
+            body += "(?:" + "|".join(
+                f" +{keyword} +{capture(group, kind)}"
+                for keyword, (group, kind, _what) in clause.items()
+            ) + ")?"
+        forms.append(f"(?P<{directive}>{directive}{body})")
+    return re.compile(f" *(?:{'|'.join(forms)}) *")
 
 
 @functools.cache
 def _token_re() -> re.Pattern[str]:
-    """_TOKEN_PATTERN, compiled at the first line that _line_re refuses."""
-    return re.compile(_TOKEN_PATTERN, re.VERBOSE)
+    """One token of any kind, compiled at the first line that _line_re
+    refuses."""
+    return re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _KINDS.items()))
 
 
 @dataclass(slots=True)
@@ -139,12 +168,9 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             raise ParseError(
                 SourceSpan(lineno, pos + 1), f"unexpected character {ch!r}"
             )
-        kind = m.lastgroup or ""
-        if kind == "lbracket":
-            # A matrix literal swallows the rest of the meaningful line.
-            tokens.append(_Token("matrix", _matrix_literal(line[pos:]), pos + 1))
-            return tokens
-        tokens.append(_Token(kind, m.group(), pos + 1))
+        kind, text = m.lastgroup, m.group()
+        # a matrix literal swallows the rest of the meaningful line
+        tokens.append(_Token(kind, _matrix_literal(text) if kind == "matrix" else text, pos + 1))
         pos = m.end()
     return tokens
 
@@ -294,9 +320,9 @@ def parse(text: str) -> KrajewskiDiagram:
 
 
 def _parse_tokens(state: _ParserState, line: str, lineno: int) -> None:
-    """Parse one line token by token: the path of every line that
-    _LINE_PATTERN does not take, and the only one that words a syntax error.
-    Its fields go to the same _LINE_FORMS builder as a match's."""
+    """Parse one line token by token: the path of every line that _line_re
+    does not take, and the only one that words a syntax error.  Its fields
+    go to the same _LINE_FORMS builder as a match's."""
     tokens = _tokenize(line, lineno)
     if not tokens:
         return
@@ -305,7 +331,7 @@ def _parse_tokens(state: _ParserState, line: str, lineno: int) -> None:
         message = "unknown directive" if head.kind == "word" else "expected a directive, got"
         span = SourceSpan(lineno, head.column, len(head.text))
         raise ParseError(span, f"{message} {head.text!r}", tuple(_GRAMMAR))
-    fields = _Fields(tokens, lineno, iter(_GRAMMAR[head.text]))
+    fields = _Fields(tokens, lineno, head.text)
     _LINE_FORMS[head.text](state, fields, lineno)
     if fields.pos < len(tokens):
         tok = tokens[fields.pos]
@@ -313,36 +339,19 @@ def _parse_tokens(state: _ParserState, line: str, lineno: int) -> None:
         raise ParseError(span, f"unexpected trailing {tok.text!r}")
 
 
-# The fields of each directive in order, as the token path takes them: (the
-# _LINE_PATTERN group, or None for a token no builder reads; the token kind;
-# what a missing one is called, or None for the optional vertex sign).  The
-# label or matrix clause that may end an edge line is _Fields._operator.
-_GRAMMAR = {
-    "factor": (("fname", "word", "factor name"), ("fkind", "word", "field kind R|C|H"),
-               ("fsize", "int", "factor size")),
-    "kodim": (("kvalue", "int", "KO-dimension 0..7"),),
-    "families": (("nvalue", "int", "family count"),),
-    "vertex": (("vid", "word", "vertex id"), ("vcol", "word", "column rep"),
-               ("vrow", "word", "row rep"), ("vsign", "sign", None)),
-    "edge": (("eid", "word", "edge id"), ("esrc", "word", "source vertex"),
-             (None, "arrow", "'->'"), ("edst", "word", "target vertex")),
-    "jmap": (("jleft", "word", "vertex id"), (None, "darrow", "'<->'"),
-             ("jright", "word", "vertex id")),
-}
-
-
-@dataclass(slots=True)
 class _Fields:
     """A tokenized line as a _LINE_FORMS builder reads it: ``f[group]`` and
-    ``f.start(group)`` answer as on a match of _LINE_PATTERN.  Each field is
-    taken from the tokens when the builder first asks for it, so a syntax
-    error is raised after the semantic checks of the fields before it."""
+    ``f.start(group)`` answer as on a match of _line_re.  The line is walked
+    once, in grammar order, up to the first field it lacks; asking for that
+    field or a later one raises its error.  Builders ask in grammar order, so
+    a syntax error comes after the semantic checks of the fields before it."""
 
-    tokens: list[_Token]
-    lineno: int
-    steps: Iterator[tuple[str | None, str, str | None]]
-    pos: int = 1  # past the directive
-    found: dict[str | None, _Token | None] = field(default_factory=dict)
+    __slots__ = ("tokens", "lineno", "pos", "found", "error")
+
+    def __init__(self, tokens: list[_Token], lineno: int, directive: str) -> None:
+        self.tokens, self.lineno, self.pos = tokens, lineno, 1  # past the directive
+        self.found: dict[str | None, _Token | None] = {}
+        self.error = self._walk(directive)
 
     def __getitem__(self, group: str) -> str | None:
         tok = self._field(group)
@@ -352,49 +361,45 @@ class _Fields:
         return self._field(group).column - 1
 
     def _field(self, group: str) -> _Token | None:
-        found = self.found
-        if group not in found:
-            for name, kind, what in self.steps:
-                found[name] = self._take(kind, what)
-                if name == group:
-                    break
-            else:
-                self._operator()
-        return found[group]
+        if group in self.found or self.error is None:  # an absent clause is None
+            return self.found.get(group)
+        raise self.error
 
-    def _take(self, kind: str, what: str | None) -> _Token | None:
+    def _walk(self, directive: str) -> ParseError | None:
+        """Take the directive's fields, then its clause if the line goes on;
+        the error of the first field the line lacks, or None."""
+        for group, kind, what in _GRAMMAR[directive]:
+            if (error := self._take(group, kind, what)) is not None:
+                return error
+        clause = _CLAUSES.get(directive)
+        if clause is None or self.pos == len(self.tokens):
+            return None
+        tok = self.tokens[self.pos]
+        if tok.kind != "word" or tok.text not in clause:
+            span = SourceSpan(self.lineno, tok.column, len(tok.text))
+            message = f"unexpected {tok.text!r} after {directive} endpoints"
+            return ParseError(span, message, tuple(clause))
+        self.pos += 1
+        return self._take(*clause[tok.text])
+
+    def _take(self, group: str | None, kind: str, what: str | None) -> ParseError | None:
+        """Take the next token as group if it is of kind; the error of a
+        missing required field, or None."""
         tokens = self.tokens
         tok = tokens[self.pos] if self.pos < len(tokens) else None
         if tok is not None and tok.kind == kind:
             self.pos += 1
-            return tok
-        if what is None:
-            return None
-        column = tok.column if tok else tokens[-1].column + len(tokens[-1].text)
-        raise ParseError(SourceSpan(self.lineno, column), f"missing {what}", (what,))
-
-    def _operator(self) -> None:
-        """The edge's optional ``label`` or ``matrix`` clause."""
-        found = self.found
-        found["elabel"] = found["ematrix"] = None
-        if self.pos == len(self.tokens):
-            return
-        tok = self.tokens[self.pos]
-        if tok.kind != "word" or tok.text not in ("label", "matrix"):
-            raise ParseError(
-                SourceSpan(self.lineno, tok.column, len(tok.text)),
-                f"unexpected {tok.text!r} after edge endpoints",
-                ("label", "matrix"),
-            )
-        self.pos += 1
-        if tok.text == "label":
-            found["elabel"] = self._take("word", "operator label")
+        elif what is None:
+            tok = None  # an optional field the line leaves out
         else:
-            found["ematrix"] = self._take("matrix", "matrix literal")
+            column = tok.column if tok else tokens[-1].column + len(tokens[-1].text)
+            return ParseError(SourceSpan(self.lineno, column), f"missing {what}", (what,))
+        self.found[group] = tok
+        return None
 
 
 # ---------------------------------------------------------------------------
-# Semantic checks, shared by both paths: each takes a field's text and its
+# Semantic checks, shared by the builders: each takes a field's text and its
 # 1-based column, and words its error in this one place.
 
 
@@ -426,25 +431,6 @@ def _positive(text: str, column: int, lineno: int, what: str) -> int:
     return value
 
 
-def _set_kodim(state: _ParserState, text: str, column: int, lineno: int) -> None:
-    value = _integer(text, column, lineno)
-    if not 0 <= value <= 7:
-        raise ParseError(
-            SourceSpan(lineno, column, len(text)),
-            f"KO-dimension must be in 0..7, got {value}",
-        )
-    if state.kodim is not None:
-        raise ParseError(SourceSpan(lineno, column), "duplicate kodim directive")
-    state.kodim = value
-
-
-def _set_families(state: _ParserState, text: str, column: int, lineno: int) -> None:
-    value = _positive(text, column, lineno, "families")
-    if state.families is not None:
-        raise ParseError(SourceSpan(lineno, column), "duplicate families directive")
-    state.families = value
-
-
 def _rep_label(state: _ParserState, text: str, column: int, lineno: int) -> RepLabel:
     label = state.labels.get(text)
     if label is not None:
@@ -474,8 +460,8 @@ def _require_vertex(state: _ParserState, text: str, column: int, lineno: int) ->
 
 
 # ---------------------------------------------------------------------------
-# One builder per directive, reading a match of its _LINE_PATTERN alternative
-# or the _Fields of a tokenized line
+# One builder per directive, reading a match of _line_re or the _Fields of a
+# tokenized line
 
 _SIGNS = {"+": 1, "-": -1}
 
@@ -489,11 +475,24 @@ def _factor_line(state: _ParserState, m: re.Match, lineno: int) -> None:
 
 
 def _kodim_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    _set_kodim(state, m["kvalue"], m.start("kvalue") + 1, lineno)
+    text, column = m["kvalue"], m.start("kvalue") + 1
+    value = _integer(text, column, lineno)
+    if not 0 <= value <= 7:
+        raise ParseError(
+            SourceSpan(lineno, column, len(text)),
+            f"KO-dimension must be in 0..7, got {value}",
+        )
+    if state.kodim is not None:
+        raise ParseError(SourceSpan(lineno, column), "duplicate kodim directive")
+    state.kodim = value
 
 
 def _families_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    _set_families(state, m["nvalue"], m.start("nvalue") + 1, lineno)
+    column = m.start("nvalue") + 1
+    value = _positive(m["nvalue"], column, lineno, "families")
+    if state.families is not None:
+        raise ParseError(SourceSpan(lineno, column), "duplicate families directive")
+    state.families = value
 
 
 def _vertex_line(state: _ParserState, m: re.Match, lineno: int) -> None:

@@ -59,8 +59,6 @@ class GaussRational:
         return self.re != 0 or self.im != 0
 
 
-ZERO = GaussRational()
-
 #: A dense matrix: tuple of rows, each a tuple of entries.
 Matrix = tuple[tuple[GaussRational, ...], ...]
 

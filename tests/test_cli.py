@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import tempfile
@@ -342,6 +343,15 @@ class TestJsonEnvelopes:
         assert env["result"]["profile"] is None
         assert env["result"]["order"] == 4
 
+    def test_profile_accepts_every_count_field(self):
+        counts = [f.name for f in dataclasses.fields(kra.GraphProfile) if f.name != "V"]
+        assert len(counts) == 9
+        for name in counts:
+            profile = json.dumps({"L": 1, name: 1})
+            code, env = run_json("powercount", "--profile", profile)
+            assert code == 0, name
+            assert env["result"]["profile"] is not None, name
+
     def test_inconsistent_profile_with_strict_fails(self):
         argv = [
             "powercount",
@@ -385,6 +395,24 @@ class TestRendering:
         code, _out, err = run("check-rconnect", "--dim", "8", str(path), *fmt)
         assert (code, err) == (0, "")
         assert len(rendered) == len(set(rendered)) == cycles
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_coverage_renders_each_term_once(self, monkeypatch, tmp_path, fmt):
+        """A missing term is the required piece of its entry, not a second
+        rendering of the same term."""
+        calls = []
+        display = kra.invariants.structure_display
+
+        def counted(term, algebra):
+            calls.append(term)
+            return display(term, algebra)
+
+        monkeypatch.setattr(kra.invariants, "structure_display", counted)
+        path = tmp_path / "d.kra"
+        path.write_text(serialize(path_diagram(20)), encoding="utf-8")
+        code, _out, err = run("coverage", str(path), *fmt)
+        assert (code, err) == (0, "")
+        assert len(calls) == 331
 
 
 class TestWarnings:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracle_dsl
 from kra import ParseError, builtin, parse, serialize
-from kra.dsl import _GRAMMAR, _LINE_FORMS, _line_re
+from kra.dsl import _CLAUSES, _GRAMMAR, _KINDS, _LINE_FORMS, _line_re, _token_re
 
 from conftest import FIXTURE_NAMES, fixture_text, grid_diagram, path_diagram
 from test_lift_oracle import _relabelled
@@ -118,12 +118,51 @@ class TestKnownDocuments:
 
 
 def test_grammar_names_the_groups_of_the_line_pattern():
-    """The token path's grammar and _LINE_PATTERN name the same directives
-    and fields; the edge's label and matrix clause is read outside the
-    grammar."""
+    """The grammar table and the line pattern built from it name the same
+    directives and fields; the edge's label and matrix clause adds two more."""
     assert list(_GRAMMAR) == list(_LINE_FORMS)
     named = {group for steps in _GRAMMAR.values() for group, _kind, _what in steps}
     assert (named - {None}) | {"elabel", "ematrix"} == set(_line_re().groupindex) - set(_LINE_FORMS)
+
+
+# one token of each kind
+KIND_SAMPLES = {
+    "word": "c1", "int": "2", "darrow": "<->", "arrow": "->", "sign": "-",
+    "matrix": "[[1], [2/3*i]]",
+}
+
+
+def test_the_token_pattern_reads_each_kind_sample_as_its_kind():
+    assert list(KIND_SAMPLES) == list(_KINDS)
+    for kind, sample in KIND_SAMPLES.items():
+        m = _token_re().match(sample)
+        assert (m.lastgroup, m.group()) == (kind, sample)
+
+
+def _sample_lines():
+    """Each directive spaced as serialize writes it, one sample token per
+    field, and once more with each clause that may end it."""
+    for directive, steps in _GRAMMAR.items():
+        line = " ".join([directive] + [KIND_SAMPLES[kind] for _group, kind, _what in steps])
+        yield directive, line, steps
+        for keyword, step in _CLAUSES.get(directive, {}).items():
+            yield directive, f"{line} {keyword} {KIND_SAMPLES[step[1]]}", steps + (step,)
+
+
+SAMPLE_LINES = list(_sample_lines())
+
+
+@pytest.mark.parametrize(
+    "directive, line, steps", SAMPLE_LINES, ids=[line for _d, line, _s in SAMPLE_LINES]
+)
+def test_a_spaced_line_is_one_match_of_the_line_pattern(directive, line, steps):
+    m = _line_re().fullmatch(line)
+    assert m is not None and m.lastgroup == directive
+    assert [m[group] for group, _kind, _what in steps if group] == [
+        KIND_SAMPLES[kind] for group, kind, _what in steps if group
+    ]
+    for prelude in ("", "factor c1 C 1\nvertex c1 c1 c1 +\n"):
+        assert_same_parse(prelude + line)
 
 
 # ---------------------------------------------------------------------------
