@@ -305,31 +305,40 @@ def _quartic_coefficient(edge_ids: tuple[str, ...]) -> tuple[str, tuple[tuple[st
     return "prop. to " + " ".join([f"M_{eid}^{p}" for eid, p in factors]), factors
 
 
-def _gauge_and_edge_terms(
-    d: KrajewskiDiagram, f2_coefficient: str, edge_coefficient: str, edge_origin: str
-) -> list[InvariantTerm]:
+def _gauge_and_edge_prefix(d: KrajewskiDiagram) -> tuple[tuple[InvariantTerm, ...], ...]:
+    """``_gauge_and_edge_terms`` of d, derived once per diagram."""
+    return d.index.stage("gauge_and_edge_terms", lambda: _gauge_and_edge_terms(d))
+
+
+def _gauge_and_edge_terms(d: KrajewskiDiagram) -> tuple[tuple[InvariantTerm, ...], ...]:
     """The F² term of each simple gauge factor, then a mass and a kinetic
-    term on each non-loop edge of Γ̃.  ``edge_coefficient`` and
-    ``edge_origin`` are format strings over ``edge`` (the edge's display)
-    and ``over`` (the ids of the horizontal edge pairs over it)."""
+    term on each non-loop edge of Γ̃, as (generated, required): the terms
+    the action produces and the counterterms gauge invariance demands, which
+    differ only in their coefficient and origin texts."""
     algebra = d.algebra
-    make = InvariantTerm._make
-    terms = [
-        make((TermKind.YANG_MILLS_F2, (), f2_coefficient, "gauge sector", f"{s}({k})[{i}]", ()))
-        for i, (s, k) in enumerate(gauge_lie_algebra(algebra).simple_factors)
-    ]
+    make, f2 = InvariantTerm._make, TermKind.YANG_MILLS_F2
+    generated: list[InvariantTerm] = []
+    required: list[InvariantTerm] = []
+    for i, (s, k) in enumerate(gauge_lie_algebra(algebra).simple_factors):
+        factor = f"{s}({k})[{i}]"
+        generated.append(make((f2, (), "-f(0)/(24*pi^2), common prefactor for every gauge factor",
+                               "gauge sector", factor, ())))
+        required.append(make((f2, (), "independent coefficient per gauge factor",
+                              "gauge sector", factor, ())))
     codes = _diagram_step_codes(d)
     for edge in project(d).non_loop_edges:
-        texts = {
-            "edge": edge_display(edge, algebra),
-            "over": ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ()))),
-        }
+        shown = edge_display(edge, algebra)
+        over = ", ".join(sorted(e.id for e, _ in d.index.horizontal.get(edge, ())))
         blocks = (_cycle_block(edge, codes),)
-        coefficient = edge_coefficient.format(**texts)
-        origin = edge_origin.format(**texts)
-        terms.append(make((TermKind.SCALAR_MASS, blocks, coefficient, origin, None, ())))
-        terms.append(make((TermKind.SCALAR_KINETIC, blocks, coefficient, origin, None, ())))
-    return terms
+        for out, coefficient, origin in (
+            (generated, f"prop. to sum_p |M_e^p|^2, e in {{{over}}}",
+             f"back-and-forth walks over {shown}"),
+            (required, "independent coefficient c(p1, p2) per basis pair",
+             f"degree-2 invariant on {shown}"),
+        ):
+            out.append(make((TermKind.SCALAR_MASS, blocks, coefficient, origin, None, ())))
+            out.append(make((TermKind.SCALAR_KINETIC, blocks, coefficient, origin, None, ())))
+    return tuple(generated), tuple(required)
 
 
 def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
@@ -339,12 +348,7 @@ def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
 
 def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
-    terms = _gauge_and_edge_terms(
-        d,
-        "-f(0)/(24*pi^2), common prefactor for every gauge factor",
-        "prop. to sum_p |M_e^p|^2, e in {{{over}}}",
-        "back-and-forth walks over {edge}",
-    )
+    generated = _gauge_and_edge_prefix(d)[0]
     # Each closed four-step walk is joined from two halves at its least
     # vertex, in the order of ``index.steps`` from there: by first step,
     # then by second, and so on.  The first walk with a given term starts at
@@ -385,7 +389,7 @@ def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
                     coeff, factors = _quartic_coefficient((e1, e2, e3, e4))
                     origin = f"{name} {_walk_display((start, a, b, c))}"
                     out.append(make((quartic, blocks, coeff, origin, None, factors)))
-    return tuple(terms + walks + mixed)
+    return generated + tuple(walks + mixed)
 
 
 def _quartic_halves(index: DiagramIndex):
@@ -460,12 +464,7 @@ def _required_table(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]:
 def _required_counterterms(d: KrajewskiDiagram) -> Mapping[tuple, InvariantTerm]:
     algebra = d.algebra
     table: dict = {}
-    for t in _gauge_and_edge_terms(
-        d,
-        "independent coefficient per gauge factor",
-        "independent coefficient c(p1, p2) per basis pair",
-        "degree-2 invariant on {edge}",
-    ):
+    for t in _gauge_and_edge_prefix(d)[1]:
         table.setdefault(_built_key(t), t)
 
     make, quartic = InvariantTerm._make, TermKind.QUARTIC

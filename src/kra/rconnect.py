@@ -226,7 +226,7 @@ def _condition_three(
         if ex.exempt:
             exempt_with[pos[c1]].add(pos[c2])
     lengths = [len(c) for c in cycles]
-    found: list[list[tuple[Cycle, ...]]] = [[] for _ in range(bound // 2 + 1)]
+    found: dict[int, list[tuple[Cycle, ...]]] = {}  # size -> the tuples of that size
     members: list[int] = []  # the tuple, as indices into cycles
     distinct: list[int] = []  # its members without repeats
     # the total length of the tuple and whether all its pairs are exempt, for
@@ -246,7 +246,7 @@ def _condition_three(
                 distinct.append(nxt)
             frames.append((size + lengths[nxt], ok))
             if not ok and len(members) >= 3:
-                found[len(members)].append(tuple(cycles[i] for i in members))
+                found.setdefault(len(members), []).append(tuple(cycles[i] for i in members))
             continue
         if not members:
             break
@@ -255,4 +255,4 @@ def _condition_three(
         if not members or members[-1] != last:
             distinct.pop()
         nxt = last + 1
-    return tuple(t for by_size in found for t in by_size)
+    return tuple(t for size in sorted(found) for t in found[size])

@@ -131,12 +131,7 @@ def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
 def _required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     algebra = d.algebra
-    terms = _gauge_and_edge_terms(
-        d,
-        "independent coefficient per gauge factor",
-        "independent coefficient c(p1, p2) per basis pair",
-        "degree-2 invariant on {edge}",
-    )
+    terms = list(_gauge_and_edge_terms(d)[1])
 
     # (blocks, origin) of each quartic: the strict 4-cycles, then the pairs
     # of total length up to 4, which are all pairs of 2-cycles

@@ -81,12 +81,7 @@ def _extend_walks(steps, path: list[str], edges: list[str], parts: list[DiracPar
 
 
 def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
-    terms = _gauge_and_edge_terms(
-        d,
-        "-f(0)/(24*pi^2), common prefactor for every gauge factor",
-        "prop. to sum_p |M_e^p|^2, e in {{{over}}}",
-        "back-and-forth walks over {edge}",
-    )
+    terms = list(_gauge_and_edge_terms(d)[0])
 
     seen: set = set()
     for vertices, edge_ids, parts in _closed_field_walks(d, 4, 0):

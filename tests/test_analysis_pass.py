@@ -41,6 +41,7 @@ ANALYSIS = Path(__file__).resolve().parent.parent / "bench" / "analysis.py"
 COUNTED = (
     (graphs, "_project"),
     (graphs, "enumerate_cycles"),
+    (invariants, "_gauge_and_edge_terms"),
     (invariants, "_action_terms"),
     (invariants, "_required_counterterms"),
     (rconnect, "_check_r_connected"),
@@ -91,6 +92,8 @@ def test_each_stage_runs_once_per_analysis(build, monkeypatch):
     assert analysis_calls == {
         "_project": 1,
         "enumerate_cycles": 1,
+        # the F² and edge terms of both lists come from one pass
+        "_gauge_and_edge_terms": 1,
         "_action_terms": 1,
         "_required_counterterms": 1,
         "_check_r_connected": 1,

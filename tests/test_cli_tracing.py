@@ -42,8 +42,8 @@ _RCONNECT_CHAIN = {**_RCONNECT, "graphs.lift_cycle": 3, "graphs.lift_pair": 2,
                    "rconnect.exemption_check": 6}
 _COUNTERTERMS = {"algebra.gauge_lie_algebra": 1, "graphs.enumerate_cycles": 1,
                  "graphs.project": 2, "invariants.required_counterterms": 1}
-_COVERAGE = {"algebra.gauge_lie_algebra": 2, "graphs.enumerate_cycles": 1,
-             "graphs.project": 3, "invariants.action_terms": 1,
+_COVERAGE = {"algebra.gauge_lie_algebra": 1, "graphs.enumerate_cycles": 1,
+             "graphs.project": 2, "invariants.action_terms": 1,
              "invariants.counterterm_coverage": 1, "invariants.required_counterterms": 1}
 
 #: (command, builtin) -> traced calls per layer, diagram.vertex left out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import permutations
 from time import perf_counter
@@ -215,17 +216,27 @@ class TestRing:
     def test_the_long_cycle_lifts_fast(self):
         d = must_validate(ring_diagram(151))
         (cycle,) = [c for c in diagram_cycles(d, 152) if len(c) == 152]
-        t0 = perf_counter()
-        w = lift_cycle(cycle, d)
-        assert perf_counter() - t0 < 0.1
+        gc.freeze()  # a full collection then skips what earlier tests left behind
+        try:
+            t0 = perf_counter()
+            w = lift_cycle(cycle, d)
+            elapsed = perf_counter() - t0
+        finally:
+            gc.unfreeze()
+        assert elapsed < 0.1
         assert w is not None and len(w) == 152
         verify_cycle_witness(d, w, cycle)
 
     def test_cycles_of_a_long_ring_are_enumerated_fast(self):
         d = must_validate(ring_diagram(301))
-        t0 = perf_counter()
-        cycles = diagram_cycles(d, 310)
-        assert perf_counter() - t0 < 0.5
+        gc.freeze()
+        try:
+            t0 = perf_counter()
+            cycles = diagram_cycles(d, 310)
+            elapsed = perf_counter() - t0
+        finally:
+            gc.unfreeze()
+        assert elapsed < 0.5
         assert len(cycles) == 303 and len(cycles[-1]) == 302  # 302 edges and the ring
 
     def test_no_recursion_limit_on_a_very_long_cycle(self):

@@ -28,6 +28,7 @@ from kra import (
     cycle_pairs,
     enumerate_cycles,
     enumerate_fields,
+    gauge_lie_algebra,
     project,
     required_counterterms,
 )
@@ -35,7 +36,10 @@ from kra import invariants
 from kra.graphs import proj_edge
 from kra.invariants import TraceSlot, _cycle_block, structure_display
 
-from conftest import grid_diagram, load_fixture, must_validate, path_diagram, square_diagram
+from conftest import (
+    FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram, ring_diagram,
+    square_diagram,
+)
 
 
 def kinds(terms):
@@ -476,6 +480,42 @@ class TestCoverage:
         d = must_validate(builtin("chain"))
         report = counterterm_coverage(d)
         assert len(report.entries) == len(required_counterterms(d))
+
+
+def _assert_prefixes_agree(d) -> None:
+    """The action's terms and the required counterterms both start with one
+    F² term per simple gauge factor, then a mass and a kinetic term per
+    non-loop Γ̃ edge; coverage matches each required term of that prefix to
+    the generated term at its position."""
+    n = len(gauge_lie_algebra(d.algebra).simple_factors) + 2 * len(project(d).non_loop_edges)
+    generated, required = action_terms(d)[:n], required_counterterms(d)[:n]
+    assert len(generated) == len(required) == n
+    assert [(t.kind, t.blocks, t.gauge_factor) for t in generated] == [
+        (t.kind, t.blocks, t.gauge_factor) for t in required
+    ]
+    entries = counterterm_coverage(d).entries[:n]
+    assert [e.required for e in entries] == list(required)
+    assert all(e.matched is t for e, t in zip(entries, generated))
+
+
+class TestGaugeAndEdgePrefix:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: builtin("sm"), id="sm"),
+        pytest.param(lambda: builtin("chain"), id="chain"),
+        *(pytest.param(lambda n=n: builtin("ym", n), id=f"ym:{n}") for n in (1, 2, 3, 5)),
+        *(pytest.param(lambda name=name: load_fixture(name), id=name) for name in FIXTURE_NAMES),
+        *(pytest.param(lambda n=n: path_diagram(n), id=f"path{n}") for n in (2, 5, 10)),
+        *(pytest.param(lambda n=n: ring_diagram(n), id=f"ring{n}") for n in (3, 11)),
+        *(pytest.param(lambda k=k: grid_diagram(k), id=f"grid{k}") for k in (2, 3)),
+        pytest.param(square_diagram, id="square"),
+    ])
+    def test_generated_and_required_prefixes_agree(self, build):
+        _assert_prefixes_agree(must_validate(build()))
+
+    def test_corpus(self, corpus):
+        rows, _elapsed = corpus
+        for _name, d, _meta in rows:
+            _assert_prefixes_agree(d)
 
 
 class TestCorpusProperties:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -273,6 +274,20 @@ class TestBounds:
         report = check_r_connected(d, 1000)
         assert report.cond3 == ()
         assert perf_counter() - t0 < 2.0
+
+    def test_condition_three_without_cycles_allocates_nothing_per_dimension(self):
+        """ym:3 has no Γ̃-cycle, so condition 3 finds no tuple: it keeps a
+        list only for each tuple size it finds, not one per size the bound
+        allows."""
+        d = must_validate(builtin("ym", 3))
+        tracemalloc.start()
+        try:
+            report = check_r_connected(d, 2_000_000)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.cond3 == ()
+        assert peak < 1_000_000
 
     def test_condition_three_empty_in_low_dimensions(self, corpus_reports):
         rows, _ = corpus_reports
