@@ -318,7 +318,7 @@ def _parse_profile(text: str) -> GraphProfile:
         raise _CliError(64, f"kra: error: bad profile JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise _CliError(64, "kra: error: profile must be a JSON object")
-    valences = raw.get("V") or {}
+    valences = raw.get("V", {})
     if not isinstance(valences, dict):
         raise _CliError(64, "kra: error: profile field V must be an object of 'i,j': count")
     vertices: dict[tuple[int, int], int] = {}
@@ -557,7 +557,7 @@ def _run(name: str, args) -> int:
         d, descriptor = _load_diagram(args)
         report = diagram.validate(d)
         if report.ok:
-            d = report.diagram or d
+            d = report.diagram
         elif command.input == "refuse":
             raise _CliError(3, "validation failed\n" + "\n".join(
                 f"  {entry.check}: {'; '.join(entry.details) or 'failed'}"

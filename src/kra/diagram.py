@@ -14,7 +14,6 @@ broken diagram can be inspected rather than merely rejected.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+K = TypeVar("K", RepLabel, str)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,12 @@ def _dirac_part(s: DiagramVertex, t: DiagramVertex) -> DiracPart | None:
     return _J_DELTA_J if s.col == t.col else None
 
 
+def proj_edge(a: K, b: K) -> tuple[K, K]:
+    """The unordered pair {a, b} as (lo, hi): a Γ̃-edge of two column
+    labels, a row edge of two row labels or a jmap pair of two vertex ids."""
+    return (a, b) if a <= b else (b, a)
+
+
 def edge_part(d: KrajewskiDiagram, edge: EdgePair) -> DiracPart:
     part = _dirac_part(d.vertex(edge.source), d.vertex(edge.target))
     if part is None:
@@ -199,7 +205,9 @@ class DiagramIndex:
 
     The index also keeps the result of each analysis stage (Γ̃, the cycle
     lists, the term lists, the R-connectedness reports), so that a stage
-    runs once per diagram object however many analyses ask for it."""
+    runs once per diagram however many analyses ask for it.  No table and
+    no stage reads the jmap, so the resolved copy that ``validate`` returns
+    shares its input's index."""
 
     def __init__(self, d: KrajewskiDiagram) -> None:
         self.vertices: dict[str, DiagramVertex] = {v.id: v for v in d.vertices}
@@ -214,14 +222,6 @@ class DiagramIndex:
         if key not in self._stages:
             self._stages[key] = compute()
         return self._stages[key]
-
-    def without_stages(self) -> DiagramIndex:
-        """A new index that shares every table built so far and holds no
-        stage result, for a copy of the diagram that differs only in its
-        jmap: no table reads the jmap, but a stage may."""
-        index = copy.copy(self)
-        index._stages = {}
-        return index
 
     @cached_property
     def known_edges(self) -> tuple[tuple[EdgePair, DiagramVertex, DiagramVertex,
@@ -272,14 +272,6 @@ class DiagramIndex:
         return {col: tuple(vids) for col, vids in out.items()}
 
     @cached_property
-    def column_rows(self) -> dict[RepLabel, frozenset[RepLabel]]:
-        """column -> the rows of its occupied cells."""
-        return {
-            col: frozenset(self.vertices[vid].row for vid in vids)
-            for col, vids in self.columns.items()
-        }
-
-    @cached_property
     def edge_tables(self) -> tuple[
         dict[tuple[RepLabel, RepLabel], frozenset[RepLabel]],
         dict[tuple[RepLabel, RepLabel], frozenset[RepLabel]],
@@ -291,11 +283,9 @@ class DiagramIndex:
         cols: dict[tuple[RepLabel, RepLabel], set[RepLabel]] = {}
         for _e, s, t, part in self.known_edges:
             if part is _DELTA:
-                key = (s.col, t.col) if s.col <= t.col else (t.col, s.col)
-                rows.setdefault(key, set()).add(s.row)
+                rows.setdefault(proj_edge(s.col, t.col), set()).add(s.row)
             elif part is _J_DELTA_J:
-                key = (s.row, t.row) if s.row <= t.row else (t.row, s.row)
-                cols.setdefault(key, set()).add(s.col)
+                cols.setdefault(proj_edge(s.row, t.row), set()).add(s.col)
         return (
             {key: frozenset(held) for key, held in rows.items()},
             {key: frozenset(held) for key, held in cols.items()},
@@ -308,7 +298,7 @@ class DiagramIndex:
         out: dict[tuple[RepLabel, RepLabel], list[tuple[EdgePair, bool]]] = {}
         for e, s, t, part in self.known_edges:
             if part is _DELTA:
-                key = (s.col, t.col) if s.col <= t.col else (t.col, s.col)
+                key = proj_edge(s.col, t.col)
                 out.setdefault(key, []).append((e, s.col == key[0]))
         return out
 
@@ -386,7 +376,7 @@ def resolve_jmap(d: KrajewskiDiagram) -> dict[str, str]:
 
 
 def _normalized_jmap(pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted({(a, b) if a <= b else (b, a) for a, b in pairs}))
+    return tuple(sorted({proj_edge(a, b) for a, b in pairs}))
 
 
 def jmap_pairs(d: KrajewskiDiagram) -> tuple[tuple[str, str], ...]:
@@ -402,8 +392,9 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     """Check the diagram axioms; failures become report entries.
 
     On success the report carries a resolved copy of the diagram (jmap made
-    explicit and normalized), which shares the index tables the checks
-    built but no stage result.
+    explicit and normalized).  It differs from its input only in the jmap,
+    which no table and no stage reads, so it shares the input's index: the
+    tables the checks built and every stage result, before and after.
     """
     entries: list[CheckResult] = []
 
@@ -481,7 +472,7 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     resolved = None
     if ok and mapping is not None:
         resolved = replace(d, jmap=_normalized_jmap(mapping.items()))
-        object.__setattr__(resolved, "_index", d.index.without_stages())
+        object.__setattr__(resolved, "_index", d.index)
     return ValidationReport(tuple(entries), resolved)
 
 

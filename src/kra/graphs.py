@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .algebra import FiniteAlgebra, RepLabel
-from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram
+from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram, proj_edge
 
 __all__ = [
     "Cycle",
@@ -47,10 +47,6 @@ Cycle = tuple[RepLabel, ...]
 
 ProjEdge = tuple[RepLabel, RepLabel]
 """An unordered Γ̃-edge stored as an ordered pair ``lo <= hi``."""
-
-
-def proj_edge(a: RepLabel, b: RepLabel) -> ProjEdge:
-    return (a, b) if a <= b else (b, a)
 
 
 def cycle_display(cycle: Cycle, algebra: FiniteAlgebra) -> str:

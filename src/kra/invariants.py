@@ -133,10 +133,7 @@ def canonical_block(block: Block) -> Block:
 
 
 def canonical_key(term: InvariantTerm):
-    if term.kind is TermKind.YANG_MILLS_F2:
-        return (term.kind.value, term.gauge_factor)
-    blocks = tuple(sorted(canonical_block(b) for b in term.blocks))
-    return (term.kind.value, blocks)
+    return _built_key(term._replace(blocks=tuple(map(canonical_block, term.blocks))))
 
 
 def _built_key(term: InvariantTerm):

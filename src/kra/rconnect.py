@@ -186,8 +186,11 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
     # this set for c1 misses c2.  Its own edge test would refuse such a pair
     # too, but this set test saves the call for each pair it refuses: on
     # path n the calls are 2(n - 1), against about n^2 without it
-    column_rows = d.index.column_rows
-    reach = {c: frozenset().union(*(column_rows.get(col, ()) for col in c)) for c in cycles}
+    columns, vertices = d.index.columns, d.index.vertices
+    reach = {
+        c: frozenset(vertices[vid].row for col in c for vid in columns.get(col, ()))
+        for c in cycles
+    }
     make = PairLift._make
     cond2 = []
     for pair, ex in exemptions.items():

@@ -169,6 +169,12 @@ class TestExitCodes:
             ["powercount", "--profile", '{"L":"x"}'],
             ["powercount", "--profile", '{"L":null}'],
             ["powercount", "--profile", '{"L":1,"V":[1]}'],
+            # only an absent V means no vertices
+            ["powercount", "--profile", '{"L":1,"V":[]}'],
+            ["powercount", "--profile", '{"L":1,"V":0}'],
+            ["powercount", "--profile", '{"L":1,"V":false}'],
+            ["powercount", "--profile", '{"L":1,"V":""}'],
+            ["powercount", "--profile", '{"L":1,"V":null}'],
             ["powercount", "--profile", '{"L":1,"V":{"3,0":null}}'],
             ["powercount", "--profile", '{"L":1.5}'],
             ["powercount", "--profile", '{"L":true}'],

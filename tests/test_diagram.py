@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -22,6 +23,7 @@ from kra import (
     basis_dimension,
     builtin,
     check_r_connected,
+    counterterm_coverage,
     dirac_decomposition,
     edge_part,
     fundamental_multiplicities,
@@ -35,7 +37,7 @@ from kra import (
     validate,
 )
 
-from conftest import load_fixture, must_validate, square_diagram
+from conftest import FIXTURE_DIR, load_fixture, must_validate, square_diagram
 
 
 class TestKOSigns:
@@ -113,6 +115,43 @@ class TestDiracParts:
         assert ids == sorted(e.id for e in d.edges)
 
 
+def all_stages(d):
+    return (
+        project(d),
+        action_terms(d),
+        required_counterterms(d),
+        counterterm_coverage(d),
+        check_r_connected(d, 4),
+    )
+
+
+class _JmapUnread(KrajewskiDiagram):
+    """A diagram whose jmap raises when read."""
+
+    def __getattribute__(self, name):
+        if name == "jmap":
+            raise AssertionError("the jmap was read")
+        return super().__getattribute__(name)
+
+
+def _square_without_jmap() -> KrajewskiDiagram:
+    d = square_diagram()
+    return KrajewskiDiagram(d.algebra, d.kodim, d.vertices, d.edges)  # jmap inferred
+
+
+# the builtins, every fixture that validates and a diagram whose jmap is
+# inferred
+STAGE_INPUTS = {
+    **{name: partial(builtin, name) for name in ("sm", "chain", "ym:1", "ym:3")},
+    **{
+        path.name: partial(load_fixture, path.name)
+        for path in sorted(FIXTURE_DIR.glob("*.kra"))
+        if path.name not in ("bad_syntax.kra", "grading_fails.kra", "mixed_operators.kra")
+    },
+    "square without jmap": _square_without_jmap,
+}
+
+
 class TestDiagramIndex:
     def test_builds_on_a_diagram_that_fails_validation(self):
         algebra = FiniteAlgebra.of((2, FactorKind.COMPLEX), (3, FactorKind.COMPLEX))
@@ -172,22 +211,30 @@ class TestDiagramIndex:
         assert again == stored
         assert not any(a is b for a, b in zip(again, stored))
 
-    def test_the_validated_copy_shares_tables_and_no_stage(self):
+    def test_the_validated_copy_shares_the_index(self):
         """``validate`` returns a copy that differs from its input only in the
-        jmap, which no table reads: the copy takes over every table built on
-        the input, and starts with no stage result, since a stage may read
-        the jmap."""
-        d = square_diagram()
-        bare = KrajewskiDiagram(d.algebra, d.kodim, d.vertices, d.edges)  # jmap inferred
+        jmap, which no table and no stage reads: the copy shares its input's
+        index, so a stage computed on the input is the copy's too."""
+        bare = _square_without_jmap()
         bare.index.steps
         stage = project(bare)
         resolved = must_validate(bare)
         assert resolved.jmap != bare.jmap
-        for table in ("vertices", "cells", "steps"):
-            assert getattr(resolved.index, table) is getattr(bare.index, table), table
-        assert resolved.index._stages == {}
-        assert project(resolved) is not stage
-        assert project(resolved) == stage
+        assert resolved.index is bare.index
+        assert project(resolved) is stage
+        assert check_r_connected(resolved, 4) is check_r_connected(bare, 4)
+
+    @pytest.mark.parametrize("build", STAGE_INPUTS.values(), ids=STAGE_INPUTS.keys())
+    def test_no_stage_reads_the_jmap(self, build):
+        """Each stage gives the same result on the validated copy, on a
+        ``dataclasses.replace`` of it, which has a fresh index, and on a copy
+        whose jmap raises when read."""
+        resolved = must_validate(build())
+        stored = all_stages(resolved)
+        assert all_stages(replace(resolved)) == stored
+        unread = _JmapUnread(resolved.algebra, resolved.kodim, resolved.vertices,
+                             resolved.edges, resolved.jmap, resolved.families)
+        assert all_stages(unread) == stored
 
     @pytest.mark.parametrize("name", ["sm", "chain"])
     @pytest.mark.parametrize("reverse", [False, True])
