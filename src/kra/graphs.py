@@ -203,6 +203,10 @@ def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     collapsed trace is a forward window of the cyclic word at most one
     letter longer than it, as every prefix of a lift is.  Padding keeps the
     trace, so only the length bounds a round.
+
+    A 2-cycle (a, b), a ≠ b, lifts in one step, as the first round would find:
+    the first start with a neighbour in the other column, the first such
+    neighbour, and their least edge id both ways.
     """
     target = tuple(gamma_tilde)
     k = len(target)
@@ -210,6 +214,12 @@ def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     vertices = index.vertices
     # a vertex outside the target's columns has no window offset to start from
     starts = sorted(vid for col in set(target) for vid in index.columns.get(col, ()))
+    if k == 2 and target[0] != target[1]:
+        for start in starts:
+            other = target[1] if vertices[start].col == target[0] else target[0]
+            for nxt, eid in index.neighbors[start]:
+                if vertices[nxt].col == other:
+                    return LiftWitness((start, nxt), (eid, eid))
     # a window from r that covers the word closes unless it ends on target[r]
     closes = [k == 1 or target[r - 1] != target[r] for r in range(k)]
     # a lift's trace grows by one per column change and must reach k to

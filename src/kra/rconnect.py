@@ -28,7 +28,8 @@ The records ``Exemption``, ``CycleLift``, ``PairLift`` and ``RConnectReport``
 are named tuples: one is built per pair, so they cost no more than a tuple.
 A record equals the plain tuple of its fields, iterates over them, and is
 copied with ``_replace``.  The pair loop builds each ``PairLift`` with
-``_make`` on a positional tuple, the cheapest way to build a named tuple.
+``tuple.__new__(PairLift, fields)``, the cheapest way to build a named
+tuple: it skips the Python frame and the length check of ``_make``.
 """
 
 from __future__ import annotations
@@ -101,19 +102,23 @@ def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
 
 def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cycle], Exemption]:
     """The exemption of each pair of Γ̃-cycles of total length up to bound,
-    in the order of ``cycle_pairs``, decided once per diagram and bound."""
+    in the order of ``cycle_pairs``, decided once per diagram and bound.
+    A pair with no common label is not exempt, with no call to
+    ``exemption_check``: both clauses need a shared vertex."""
 
     def decide():
         # the cycles come sorted by length: the first c2 too long to pair
         # with c1 ends the pairs of c1
         cycles = diagram_cycles(d, bound)
+        labels = [frozenset(c) for c in cycles]
         table = {}
         for i, c1 in enumerate(cycles):
             room = bound - len(c1)
-            for c2 in cycles[i:]:
+            for j, c2 in enumerate(cycles[i:], i):
                 if len(c2) > room:
                     break
-                table[c1, c2] = exemption_check(c1, c2, d)
+                disjoint = labels[i].isdisjoint(labels[j])
+                table[c1, c2] = _NOT_EXEMPT if disjoint else exemption_check(c1, c2, d)
         return MappingProxyType(table)
 
     return d.index.stage(("exemptions", bound), decide)
@@ -191,7 +196,6 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
         c: frozenset(vertices[vid].row for col in c for vid in columns.get(col, ()))
         for c in cycles
     }
-    make = PairLift._make
     cond2 = []
     for pair, ex in exemptions.items():
         witness = None
@@ -201,7 +205,7 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
                 witness = lift_pair(c1, c2, d)
             if witness is None and not reach[c2].isdisjoint(c1):
                 witness = lift_pair(c2, c1, d)
-        cond2.append(make((pair, ex, witness)))
+        cond2.append(tuple.__new__(PairLift, (pair, ex, witness)))
 
     cond3 = _condition_three(cycles, exemptions, bound)
     return RConnectReport(m, strict_bounds, cond1, tuple(cond2), cond3)
@@ -223,6 +227,8 @@ def _condition_three(
     does not fit."""
     if bound < 6:
         return ()  # three cycles have total length at least 6
+    if all(ex.exempt for ex in exemptions.values()):
+        return ()  # no tuple holds a pair that is not exempt
     pos = {c: i for i, c in enumerate(cycles)}
     exempt_with: list[set[int]] = [set() for _ in cycles]  # i -> the j >= i it is exempt with
     for (c1, c2), ex in exemptions.items():

@@ -28,11 +28,13 @@ from kra import (
     builtin,
     check_r_connected,
     cycle_pairs,
+    diagram_cycles,
     enumerate_cycles,
     lift_cycle,
     lift_pair,
     project,
 )
+from kra.invariants import _cycle_block, _diagram_step_codes
 
 from conftest import (
     grid_diagram,
@@ -79,6 +81,26 @@ def _doubled(d):
     )
 
 
+def _with_parallel_edges(d):
+    """d plus a parallel copy, with "z"-prefixed ids, of each of its edges:
+    every lift then chooses between two edges over each step."""
+    return replace(
+        d, edges=d.edges + tuple(replace(e, id="z" + e.id) for e in d.edges)
+    )
+
+
+def _crossed(d):
+    """``_doubled(d)`` plus, for each edge of d, an "x"-prefixed edge from its
+    source to the copy of its target: a vertex then has two neighbours in
+    the column of each step."""
+    doubled = _doubled(d)
+    return replace(
+        doubled,
+        edges=doubled.edges
+        + tuple(replace(e, id="x" + e.id, target="w" + e.target) for e in d.edges),
+    )
+
+
 def padded_triangle() -> KrajewskiDiagram:
     """Columns a, b, c joined only through the 4-cycle a1 -> b1 -> c1 -> a2
     -> a1, whose last step stays in column a.  The least lift of (a, b, c)
@@ -101,6 +123,12 @@ def _family_diagrams():
     rows += [
         ("grid3-relabelled", _relabelled(grid_diagram(3), 7)),
         ("path10-relabelled", _relabelled(path_diagram(10), 8)),
+        # the one-step lift of a 2-cycle breaks ties by the least start (two
+        # per cell), the least neighbour (two in the other column) and the
+        # least edge id both ways (two parallel edges, with shuffled ids)
+        ("path5-doubled", _doubled(path_diagram(5))),
+        ("path8-parallel-relabelled", _relabelled(_with_parallel_edges(path_diagram(8)), 9)),
+        ("path5-crossed-relabelled", _relabelled(_crossed(path_diagram(5)), 11)),
         ("square-doubled", _doubled(square_diagram())),
         ("chain-doubled", _doubled(must_validate(builtin("chain")))),
         ("sm-doubled", _doubled(must_validate(builtin("sm")))),
@@ -155,6 +183,17 @@ class TestOracleWitnesses:
         d = padded_triangle()
         w = lift_cycle((RepLabel(0), RepLabel(1), RepLabel(2)), d)
         assert w == LiftWitness(("a1", "b1", "c1", "a2"), ("e1", "e2", "e3", "e4"))
+
+
+def test_two_cycle_blocks_sort_as_their_cycles(corpus):
+    """Double traces of 2-cycles are keyed by the cycles' positions in
+    ``diagram_cycles``: this holds because c_i < c_j gives b_i < b_j."""
+    rows, _elapsed = corpus
+    diagrams = [d for _name, d, _meta in rows] + [d for _name, d in _family_diagrams()]
+    for d in diagrams:
+        codes = _diagram_step_codes(d)
+        blocks = [_cycle_block(c, codes) for c in diagram_cycles(d, 4) if len(c) == 2]
+        assert all(b1 < b2 for b1, b2 in zip(blocks, blocks[1:]))
 
 
 class TestScaling:

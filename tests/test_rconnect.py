@@ -289,6 +289,20 @@ class TestBounds:
         assert report.cond3 == ()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize(
+        "make", [lambda: builtin("sm"), lambda: builtin("ym", 3)], ids=["sm", "ym3"]
+    )
+    def test_condition_three_on_a_table_with_every_pair_exempt_is_fast(self, make):
+        """When every pair is exempt, no tuple can hold a pair that is not,
+        so condition 3 walks none of the multisets of cycles the bound
+        admits."""
+        d = must_validate(make())
+        t0 = perf_counter()
+        report = check_r_connected(d, 20_000)
+        assert all(entry.exemption.exempt for entry in report.cond2)
+        assert report.cond3 == ()
+        assert perf_counter() - t0 < 1.0
+
     def test_condition_three_empty_in_low_dimensions(self, corpus_reports):
         rows, _ = corpus_reports
         for name, _d, _meta, report, _cov in rows:
