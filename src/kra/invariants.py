@@ -25,7 +25,9 @@ Coverage matches required terms against generated ones by canonical trace
 structure only; coefficients are ignored, since the generated coefficients
 need not agree with the independent ones ("the coefficients in front of the
 counterterms might be different" — the theory is not multiplicatively
-renormalizable).
+renormalizable).  Each quartic is keyed by its blocks as step codes
+(``StepCodes``), so the walk join, its dedupe and the match hash tuples of
+small ints, and slots are built only for a term that is kept.
 
 ``TraceSlot`` and the records ``FieldComponent``, ``FieldInventory``,
 ``InvariantTerm``, ``CoverageEntry`` and ``CoverageReport`` are named
@@ -46,10 +48,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
-from .diagram import (
-    _DELTA, _J_DELTA_J, DiagramIndex, DiagramVertex, DiracPart, KrajewskiDiagram,
-    SymbolicOperator,
-)
+from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
 from .graphs import (
     ProjEdge, cycle_display, diagram_cycles, edge_display, least_rotation, proj_edge, project,
@@ -177,9 +176,9 @@ class StepCodes(NamedTuple):
     """Integer codes for directed label steps.  The step a -> b over the
     edge e = proj_edge(a, b) has code 2·r + [a == e[0]], where r is e's
     rank among the edges coded, so codes sort as the steps' trace slots do
-    and flipping the low bit gives the step reversed, the dagger of its
-    slot.  ``code`` maps each step (a, b) to its code, and ``slot[c]`` is
-    the ``TraceSlot`` of code c."""
+    and ``c ^ 1`` is the step reversed, the dagger of its slot.  A code
+    fixes both labels of its step, so a walk's codes name its label walk.
+    ``code`` maps each step (a, b) to its code; ``slot[c]`` is c's slot."""
 
     code: Mapping[tuple[RepLabel, RepLabel], int]
     slot: tuple[TraceSlot, ...]
@@ -208,25 +207,27 @@ def _diagram_step_codes(d: KrajewskiDiagram) -> StepCodes:
 
 
 def _cycle_block(labels: Sequence[RepLabel], codes: StepCodes | None = None) -> Block:
-    """The canonical trace block of a closed Γ̃ label walk: one slot per step
-    labels[i] -> labels[i + 1], cyclically.  A cycle, an edge walked forth
-    and back, and the column or row trace of a diagram walk all take this
-    form; it is the one place where steps become trace slots.
-
-    The walk takes no step that stays put.  Its steps are canonicalised as
-    their ``codes`` (by default those of the walk's own steps), and only the
-    least rotation is turned back into slots.  A two-step walk needs no
-    search: its block is the adjoint slot, then the forward slot, of its
-    one edge."""
+    """The canonical trace block of a closed Γ̃ label walk, one slot per step
+    labels[i] -> labels[i + 1], cyclically, canonicalised as the steps'
+    ``codes`` (by default those of the walk's own steps)."""
     if codes is None:
         codes = _step_codes(zip(labels, labels[1:] + labels[:1]))
     code, slot = codes
-    if len(labels) == 2:
+    if len(labels) == 2:  # an edge forth and back: its adjoint slot, then its forward one
         c = code[labels[0], labels[1]] & -2
         return slot[c:c + 2]
-    walk = [code[step] for step in zip(labels, labels[1:] + labels[:1])]
-    dagger = tuple([c ^ 1 for c in reversed(walk)])
-    return tuple([slot[c] for c in least_rotation(tuple(walk), dagger)])
+    walk = tuple([code[step] for step in zip(labels, labels[1:] + labels[:1])])
+    return tuple([slot[c] for c in _least_walk(walk)])
+
+
+def _least_walk(walk: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical form of a closed walk's step codes: the least rotation
+    of the walk or of its dagger (reversed, each code ``^ 1``).  A two-step
+    walk is an edge forth and back: the adjoint step, then the forward one."""
+    if len(walk) == 2:
+        c = walk[0] & -2
+        return (c, c + 1)
+    return least_rotation(walk, tuple([c ^ 1 for c in reversed(walk)]))
 
 
 def structure_display(term: InvariantTerm, algebra: FiniteAlgebra) -> str:
@@ -344,55 +345,59 @@ def _gauge_and_edge_terms(d: KrajewskiDiagram) -> tuple[tuple[InvariantTerm, ...
 def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     """Every term family the expanded action produces for this diagram,
     generated once per diagram."""
+    return _generated(d)[0]
+
+
+def _generated(d: KrajewskiDiagram) -> tuple:
+    """(the action terms, each quartic's code key), derived once per diagram."""
     return d.index.stage("action_terms", lambda: _action_terms(d))
 
 
-def _action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
+def _action_terms(d: KrajewskiDiagram) -> tuple:
     generated = _gauge_and_edge_prefix(d)[0]
     # Each closed four-step walk is joined from two halves at its least
-    # vertex, in the order of ``index.steps`` from there: by first step,
-    # then by second, and so on.  The first walk with a given term starts at
-    # the least vertex of any walk with that term, so the walks left out are
-    # never the ones kept; nor is a walk whose reversal, which has its term,
-    # came first.  A walk's horizontal steps trace the columns at their
-    # sources, and its vertical steps (read through j) the rows at theirs.
-    # Many walks share one such pair of label walks, and only the first of
-    # them can give a new term.  The two kinds share no term, so one pass
-    # makes both lists.
-    walks: list[InvariantTerm] = []  # four horizontal steps
-    mixed: list[InvariantTerm] = []  # two horizontal and two vertical steps
-    codes = _diagram_step_codes(d)
-    walked: set = set()  # the label walk pairs met so far
-    seen: set = set()  # the blocks of the quartic terms made so far
+    # vertex, in the order of ``index.steps`` from there.  The first walk
+    # with a given term starts at the least vertex of any walk with that
+    # term, so the walks left out are never the ones kept; nor is a walk
+    # whose reversal, which has its term, came first.  Many walks share one
+    # pair of code walks (columns, rows), and only the first of them can give
+    # a new term.  The two kinds share no term, so one pass makes both lists.
+    walks: list = []  # four horizontal steps, as (term, code key)
+    mixed: list = []  # two horizontal and two vertical steps
+    code, slot = _diagram_step_codes(d)
+    walked: set = set()  # the code walk pairs met so far
+    seen: set = set()  # the code keys of the quartic terms made so far
     make, quartic = partial(tuple.__new__, InvariantTerm), TermKind.QUARTIC
     kinds = ((walks, 4, "walk"), (mixed, 2, "mixed walk"))
-    for start, halves, back in _quartic_halves(d.index):
+    for start, halves, back in _quartic_halves(d.index, code):
         for first, e2, b, h, cols, rows in halves:
             e1, a = first
             for out, n_h, name in kinds:
                 for e3, c, e4, last, back_cols, back_rows in back.get((b, n_h - h), ()):
                     if last < first:
                         continue  # the reversed walk came first, with this term
-                    labels = (cols + back_cols, rows + back_rows)
-                    if labels in walked:
+                    pair = (cols + back_cols, rows + back_rows)
+                    if pair in walked:
                         continue  # its term is in seen already
-                    walked.add(labels)
-                    col = _cycle_block(labels[0], codes)
-                    if not labels[1]:
-                        blocks = (col,)
+                    walked.add(pair)
+                    col = _least_walk(pair[0])
+                    if not pair[1]:
+                        key = (col,)
                     else:  # a mixed walk: its row trace is a second block
-                        row = _cycle_block(labels[1], codes)
-                        blocks = (col, row) if col <= row else (row, col)
-                    if blocks in seen:
+                        row = _least_walk(pair[1])
+                        key = (col, row) if col <= row else (row, col)
+                    if key in seen:
                         continue
-                    seen.add(blocks)
-                    coeff, factors = _quartic_coefficient((e1, e2, e3, e4))
-                    origin = f"{name} {_walk_display((start, a, b, c))}"
-                    out.append(make((quartic, blocks, coeff, origin, None, factors)))
-    return generated + tuple(walks + mixed)
+                    seen.add(key)
+                    blocks = tuple([tuple([slot[x] for x in k]) for k in key])
+                    factors = ((e1, "p1"), (e2, "p2"), (e3, "p3"), (e4, "p4"))
+                    coeff = f"prop. to M_{e1}^p1 M_{e2}^p2 M_{e3}^p3 M_{e4}^p4"
+                    origin = f"{name} {start} -> {a} -> {b} -> {c} -> {start}"
+                    out.append((make((quartic, blocks, coeff, origin, None, factors)), key))
+    return generated + tuple([t for t, _ in walks + mixed]), tuple([k for _, k in walks + mixed])
 
 
-def _quartic_halves(index: DiagramIndex):
+def _quartic_halves(index: DiagramIndex, code: Mapping[tuple[RepLabel, RepLabel], int]):
     """For each start s in id order: s, its forward halves and its return
     halves, the two-step pieces every quartic walk from s is joined from.
 
@@ -400,25 +405,25 @@ def _quartic_halves(index: DiagramIndex):
     least s is the forward half s -> a -> b followed by the return half
     b -> c -> s, the reversal of a forward half that ends in b; each step is
     horizontal or vertical.  A forward half is ((e1, a), e2, b, h, cols,
-    rows), listed in the order of ``index.steps``, where h counts its
-    horizontal steps and cols and rows are the labels at the sources of its
-    horizontal and vertical steps.  ``back[b, h]`` lists the return halves
-    into b with h horizontal steps as (e3, c, e4, (e4, c), cols, rows),
-    sorted, which is the order of ``index.steps`` at b and c.  So for each
-    forward half in order, each return half in order, the walks from s come
-    in the order of ``index.steps``, step by step, kept to vertices of id s
-    or more."""
+    rows), in the order of ``index.steps``: h counts its horizontal steps,
+    cols holds the code of each one's column step and rows that of each
+    vertical step's row step.  ``back[b, h]`` lists the return halves into b
+    with h horizontal steps as (e3, c, e4, (e4, c), cols, rows), sorted,
+    which is the order of ``index.steps`` at b and c.  So the walks from s
+    come in the order of ``index.steps``, kept to vertices of id s or more."""
     vertices = index.vertices
     # each horizontal or vertical step v -> w: (edge, w, what it adds at v,
-    # what its reversal adds at w)
-    flat = {
-        v: [
-            (eid, w, _step_label(vertices[v], part), _step_label(vertices[w], part))
-            for eid, w, part in out
-            if part is _DELTA or part is _J_DELTA_J
-        ]
-        for v, out in index.steps.items()
-    }
+    # what its reversal, of code ^ 1, adds at w), as (cols, rows, 1 if
+    # horizontal)
+    flat: dict = {v: [] for v in index.steps}
+    for v, out in index.steps.items():
+        for eid, w, part in out:
+            if part is _DELTA:
+                c = code[vertices[v].col, vertices[w].col]
+                flat[v].append((eid, w, ((c,), (), 1), ((c ^ 1,), (), 1)))
+            elif part is _J_DELTA_J:
+                c = code[vertices[v].row, vertices[w].row]
+                flat[v].append((eid, w, ((), (c,), 0), ((), (c ^ 1,), 0)))
     for start in sorted(flat):
         halves, back = [], {}
         for e1, a, u1, ua in flat[start]:
@@ -436,15 +441,6 @@ def _quartic_halves(index: DiagramIndex):
         yield start, halves, back
 
 
-def _step_label(source: DiagramVertex, part: DiracPart) -> tuple[tuple, tuple, int]:
-    """What a horizontal or vertical step adds to its walk's label walks:
-    (columns, rows, 1 if horizontal), with the column at its source if it is
-    horizontal and the row there if it is vertical."""
-    if part is _DELTA:
-        return (source.col,), (), 1
-    return (), (source.row,), 0
-
-
 # ---------------------------------------------------------------------------
 # Required counterterms and coverage
 
@@ -456,39 +452,43 @@ def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
 
 def _required(d: KrajewskiDiagram) -> tuple:
-    """(the required counterterms, ``canonical_key`` -> position of each but
-    the pair double traces, (i, j) -> position of the double trace of the
-    2-cycles i <= j in ``diagram_cycles`` order), derived once per diagram."""
+    """(the required counterterms, code key -> position of each single-trace
+    quartic, (i, j) -> position of the term of the 2-cycles i <= j in
+    ``diagram_cycles`` order: their double trace, or their collapsed single
+    trace when they are exempt at a shared trivial vertex, and even code ->
+    number of each 2-cycle), derived once per diagram."""
     return d.index.stage("required_counterterms", lambda: _required_counterterms(d))
 
 
 def _required_counterterms(d: KrajewskiDiagram):
     algebra = d.algebra
-    # no two of these share a key: each F² term names its factor's index,
-    # and each edge has one mass and one kinetic term
     terms: list[InvariantTerm] = list(_gauge_and_edge_prefix(d)[1])
-    position: dict = {_built_key(t): i for i, t in enumerate(terms)}
     make, quartic = partial(tuple.__new__, InvariantTerm), TermKind.QUARTIC
-    quartic_key = quartic.value  # the first item of a quartic's key
     coefficient = "independent coefficient per index tuple"
+    code, slot = _diagram_step_codes(d)
+    position: dict = {}
 
-    def keep(blocks: tuple[Block, ...], origin: str) -> None:
-        """Add a quartic with these sorted, canonical blocks unless its key
-        is in the table already."""
-        key = (quartic_key, blocks)
-        if key not in position:
-            position[key] = len(terms)
-            terms.append(make((quartic, blocks, coefficient, origin, None, ())))
+    def keep(walk: tuple[int, ...], origin: str) -> int:
+        """The position of the single trace along this closed code walk."""
+        least = _least_walk(walk)
+        at = position.setdefault((least,), len(terms))
+        if at == len(terms):
+            terms.append(make((quartic, (tuple([slot[c] for c in least]),), coefficient, origin,
+                               None, ())))
+        return at
 
     # the strict 4-cycles, then the pairs of total length up to 4, which are
     # all pairs of 2-cycles, in the order of combinations_with_replacement
-    codes = _diagram_step_codes(d)
     cycles = diagram_cycles(d, 4)
     for c in cycles:
         if len(c) == 4:
-            keep((_cycle_block(c, codes),), f"4-cycle {cycle_display(c, algebra)}")
+            keep(tuple([code[step] for step in zip(c, c[1:] + c[:1])]),
+                 f"4-cycle {cycle_display(c, algebra)}")
     twos = [c for c in cycles if len(c) == 2]
-    blocks = [_cycle_block(c, codes) for c in twos]
+    # a 2-cycle (lo, hi) by the even code of its edge: the step hi -> lo,
+    # and lo -> hi is the next code; one block per 2-cycle, shared by its pairs
+    evens = [code[c] & -2 for c in twos]
+    blocks = [slot[c:c + 2] for c in evens]
     shown = [cycle_display(c, algebra) for c in twos]
     opened = [f"cycle pair {s} + " for s in shown]
     pairs: dict = {}
@@ -501,10 +501,15 @@ def _required_counterterms(d: KrajewskiDiagram):
             terms.append(make((quartic, (blocks[i], blocks[j]), coefficient, opened[i] + shown[j],
                                None, ())))
         elif ex.clause == SHARED_TRIVIAL_VERTEX:
-            keep((_collapse_at(blocks[i], blocks[j], ex.vertex),),
-                 f"{opened[i]}{shown[j]}, collapsed at the shared trivial vertex")
+            # each cycle walked out of the shared vertex and back
+            x = evens[i] + (twos[i][0] == ex.vertex)
+            y = evens[j] + (twos[j][0] == ex.vertex)
+            pairs[i, j] = keep((x, x ^ 1, y, y ^ 1),
+                               f"{opened[i]}{shown[j]}, collapsed at the shared trivial vertex")
         # a quaternion-conjugate pair gives no term
-    return tuple(terms), MappingProxyType(position), MappingProxyType(pairs)
+    number = {c: i for i, c in enumerate(evens)}
+    return (tuple(terms), MappingProxyType(position), MappingProxyType(pairs),
+            MappingProxyType(number))
 
 
 class CoverageEntry(NamedTuple):
@@ -525,35 +530,28 @@ class CoverageReport(NamedTuple):
 
 
 def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
-    """Match each required counterterm to a generated action term.
+    """Match each required counterterm to the first generated action term
+    of the same canonical trace structure; a generated double trace that
+    collapses at a shared trivial vertex matches the single trace.
 
-    Matching is by canonical trace structure; a generated double trace that
-    admits a collapse at a trivial vertex is matched under both its double
-    and its collapsed single form.  Each required term takes the first
-    generated term that matches it.  A double trace of two 2-cycle blocks
-    finds its position by the cycles' numbers, every other term and every
-    collapsed form by its key.
-    """
-    algebra = d.algebra
-    required = required_counterterms(d)  # the public stage, as a tracer counts it
-    _, position, pairs = _required(d)
-    number = {c: i for i, c in enumerate(c for c in diagram_cycles(d, 4) if len(c) == 2)}
-    matched: list[InvariantTerm | None] = [None] * len(required)
-    quartic = TermKind.QUARTIC
-    for t in action_terms(d):
-        if t.kind is quartic and len(t.blocks) == 2:
-            # a mixed walk's two 2-slot blocks, each the back-and-forth walk
-            # over the edge of its first slot; no other required term has
-            # two blocks, so a row edge that is no Γ̃ edge matches nothing
-            b1, b2 = t.blocks
-            i, j = number.get(b1[0].edge), number.get(b2[0].edge)
+    One loop builds the F² and edge terms of both lists, so generated term k
+    of them matches required term k.  A quartic of two 2-cycle blocks looks
+    up the pair of the cycles its even codes number, and any other quartic
+    its code key."""
+    required = required_counterterms(d)  # the public stages, as a tracer counts them
+    generated = action_terms(d)
+    _, position, pairs, number = _required(d)
+    keys = _generated(d)[1]
+    n = len(generated) - len(keys)
+    matched: list[InvariantTerm | None] = [*generated[:n], *repeat(None, len(required) - n)]
+    for t, key in zip(generated[n:], keys):
+        if len(key) == 2:
+            # a mixed walk's two 2-slot blocks; a row edge that is no Γ̃
+            # edge has no number and matches nothing
+            i, j = number.get(key[0][0]), number.get(key[1][0])
             at = None if i is None or j is None else pairs.get((i, j))
-            collapsed = collapse_blocks(b1, b2, algebra)
-            folded = None if collapsed is None else position.get((quartic.value, (collapsed,)))
-            if folded is not None and matched[folded] is None:
-                matched[folded] = t
         else:
-            at = position.get(_built_key(t))
+            at = position.get(key)
         if at is not None and matched[at] is None:
             matched[at] = t
     return CoverageReport(tuple(map(tuple.__new__, repeat(CoverageEntry), zip(required, matched))))

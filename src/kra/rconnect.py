@@ -34,6 +34,7 @@ tuple: it skips the Python frame and the length check of ``_make``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -107,21 +108,25 @@ def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cyc
     ``exemption_check``: both clauses need a shared vertex."""
 
     def decide():
-        # the cycles come sorted by length: the first c2 too long to pair
-        # with c1 ends the pairs of c1
         cycles = diagram_cycles(d, bound)
         labels = [frozenset(c) for c in cycles]
         table = {}
-        for i, c1 in enumerate(cycles):
-            room = bound - len(c1)
-            for j, c2 in enumerate(cycles[i:], i):
-                if len(c2) > room:
-                    break
-                disjoint = labels[i].isdisjoint(labels[j])
-                table[c1, c2] = _NOT_EXEMPT if disjoint else exemption_check(c1, c2, d)
+        for i, j in _pair_indices(cycles, bound):
+            c1, c2 = cycles[i], cycles[j]
+            disjoint = labels[i].isdisjoint(labels[j])
+            table[c1, c2] = _NOT_EXEMPT if disjoint else exemption_check(c1, c2, d)
         return MappingProxyType(table)
 
     return d.index.stage(("exemptions", bound), decide)
+
+
+def _pair_indices(cycles: tuple[Cycle, ...], bound: int) -> Iterable[tuple[int, int]]:
+    """The positions (i, j), i <= j, of the pairs of cycles of total length
+    up to bound, in the order of ``pair_exemptions``; the cycles are sorted
+    by length, so the partners of i end before the first too long for it."""
+    lengths = [len(c) for c in cycles]
+    return ((i, j) for i, k in enumerate(lengths)
+            for j in range(i, bisect_right(lengths, bound - k)))
 
 
 class CycleLift(NamedTuple):
@@ -192,18 +197,16 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
     # too, but this set test saves the call for each pair it refuses: on
     # path n the calls are 2(n - 1), against about n^2 without it
     columns, vertices = d.index.columns, d.index.vertices
-    reach = {
-        c: frozenset(vertices[vid].row for col in c for vid in columns.get(col, ()))
-        for c in cycles
-    }
+    reach = [frozenset(vertices[vid].row for col in c for vid in columns.get(col, ()))
+             for c in cycles]
     cond2 = []
-    for pair, ex in exemptions.items():
+    for (i, j), (pair, ex) in zip(_pair_indices(cycles, bound), exemptions.items()):
         witness = None
         if not ex.exempt:
             c1, c2 = pair
-            if not reach[c1].isdisjoint(c2):
+            if not reach[i].isdisjoint(c2):
                 witness = lift_pair(c1, c2, d)
-            if witness is None and not reach[c2].isdisjoint(c1):
+            if witness is None and not reach[j].isdisjoint(c1):
                 witness = lift_pair(c2, c1, d)
         cond2.append(tuple.__new__(PairLift, (pair, ex, witness)))
 
@@ -229,11 +232,10 @@ def _condition_three(
         return ()  # three cycles have total length at least 6
     if all(ex.exempt for ex in exemptions.values()):
         return ()  # no tuple holds a pair that is not exempt
-    pos = {c: i for i, c in enumerate(cycles)}
     exempt_with: list[set[int]] = [set() for _ in cycles]  # i -> the j >= i it is exempt with
-    for (c1, c2), ex in exemptions.items():
+    for (i, j), ex in zip(_pair_indices(cycles, bound), exemptions.values()):
         if ex.exempt:
-            exempt_with[pos[c1]].add(pos[c2])
+            exempt_with[i].add(j)
     lengths = [len(c) for c in cycles]
     found: dict[int, list[tuple[Cycle, ...]]] = {}  # size -> the tuples of that size
     members: list[int] = []  # the tuple, as indices into cycles

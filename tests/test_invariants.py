@@ -312,13 +312,17 @@ class TestActionTerms:
         """On grid k=3 the quartic walks from their least vertex are 20
         four-step and 63 mixed walks.  The join leaves out the 18 mixed
         walks whose reversal came first, and the 65 it keeps trace far
-        fewer distinct (columns, rows) label walks.  ``_cycle_block`` runs
-        once per Γ̃ edge and once per label walk of each distinct pair: 44
-        calls, where one per walk made 149."""
+        fewer distinct (column codes, row codes) pairs of step-code walks.
+        ``_least_walk`` canonicalises each code walk of each distinct pair
+        once: 41 calls, where one per walk made 146."""
         d = must_validate(grid_diagram(3))
         index = d.index
-        want = [tuple(e) for e in project(d).non_loop_edges]
-        walks, pairs = [0, 0], set()
+        code = invariants._diagram_step_codes(d).code
+
+        def coded(labels):  # the step codes of a closed label walk
+            return tuple(code[step] for step in zip(labels, labels[1:] + labels[:1]))
+
+        want, walks, pairs = [], [0, 0], set()
         for start in sorted(index.steps):
             # the join's walks from start: vertices at least start, none
             # whose reversal starts with a smaller step, by forward half
@@ -335,24 +339,24 @@ class TestActionTerms:
             for _half, kind, vertices, parts in found:
                 walks[kind] += 1
                 cells = [(index.vertices[vid], part) for vid, part in zip(vertices, parts)]
-                h = tuple(c.col for c, part in cells if part is DiracPart.DELTA)
-                v = tuple(c.row for c, part in cells if part is not DiracPart.DELTA)
+                h = coded(tuple(c.col for c, part in cells if part is DiracPart.DELTA))
+                v = coded(tuple(c.row for c, part in cells if part is not DiracPart.DELTA))
                 if (h, v) not in pairs:
                     pairs.add((h, v))
                     want.extend(w for w in (h, v) if w)
         assert walks == [20, 45]
 
         calls = []
-        original = invariants._cycle_block
+        original = invariants._least_walk
 
-        def counted(labels, codes):
-            calls.append(tuple(labels))
-            return original(labels, codes)
+        def counted(walk):
+            calls.append(walk)
+            return original(walk)
 
-        monkeypatch.setattr(invariants, "_cycle_block", counted)
+        monkeypatch.setattr(invariants, "_least_walk", counted)
         action_terms(d)
         assert calls == want
-        assert len(calls) == 44
+        assert len(calls) == 41
 
 
 class TestBuiltBlocksAreCanonical:
