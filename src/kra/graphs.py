@@ -204,22 +204,20 @@ def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
     letter longer than it, as every prefix of a lift is.  Padding keeps the
     trace, so only the length bounds a round.
 
-    A 2-cycle (a, b), a ≠ b, lifts in one step, as the first round would find:
-    the first start with a neighbour in the other column, the first such
-    neighbour, and their least edge id both ways.
+    A 2-cycle (a, b), a ≠ b, lifts by one lookup in ``_two_cycle_lifts``,
+    which holds what the first round would find: the first start with a
+    neighbour in the other column, the first such neighbour and their least
+    edge id both ways.  With no edge between the two columns the trace
+    never changes column, so there is no lift.
     """
     target = tuple(gamma_tilde)
     k = len(target)
+    if k == 2 and target[0] != target[1]:
+        return _two_cycle_lifts(d).get(target)
     index = d.index
     vertices = index.vertices
     # a vertex outside the target's columns has no window offset to start from
     starts = sorted(vid for col in set(target) for vid in index.columns.get(col, ()))
-    if k == 2 and target[0] != target[1]:
-        for start in starts:
-            other = target[1] if vertices[start].col == target[0] else target[0]
-            for nxt, eid in index.neighbors[start]:
-                if vertices[nxt].col == other:
-                    return LiftWitness((start, nxt), (eid, eid))
     # a window from r that covers the word closes unless it ends on target[r]
     closes = [k == 1 or target[r - 1] != target[r] for r in range(k)]
     # a lift's trace grows by one per column change and must reach k to
@@ -261,6 +259,22 @@ def lift_cycle(gamma_tilde: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
         if not reached:
             break  # admissible paths are closed under prefixes: none is longer
     return None
+
+
+def _two_cycle_lifts(d: KrajewskiDiagram) -> Mapping[Cycle, LiftWitness]:
+    """(a, b) and (b, a) -> the lift of the 2-cycle (a, b), once per diagram:
+    both ways along the least (low endpoint id, high endpoint id, edge id) of
+    the known edges of any part from column a to column b."""
+
+    def build():
+        lifts: dict = {}
+        for lo, hi, eid, a, b in sorted((*proj_edge(s.id, t.id), e.id, s.col, t.col)
+                                        for e, s, t, _part in d.index.known_edges if s.col != t.col):
+            if (a, b) not in lifts:
+                lifts[a, b] = lifts[b, a] = LiftWitness((lo, hi), (eid, eid))
+        return lifts
+
+    return d.index.stage("two_cycle_lifts", build)
 
 
 def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:

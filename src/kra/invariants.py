@@ -197,12 +197,13 @@ def _step_codes(steps: Iterable[tuple[RepLabel, RepLabel]]) -> StepCodes:
 
 
 def _diagram_step_codes(d: KrajewskiDiagram) -> StepCodes:
-    """The codes of every column step and every row step of d's edges,
-    derived once per diagram.  They cover each Γ̃ edge and each step a walk
-    of the diagram takes, the row steps of vertical edges included, which
-    need not be Γ̃ edges."""
+    """The codes of every column step and every row step of d's edges that
+    moves, derived once per diagram.  They cover each Γ̃ edge and each step
+    a walk of the diagram takes, the row steps of vertical edges included,
+    which need not be Γ̃ edges; a diagonal edge moves in both."""
     return d.index.stage("step_codes", lambda: _step_codes(
-        step for _e, s, t, _part in d.index.known_edges for step in ((s.col, t.col), (s.row, t.row))
+        step for _e, s, t, _part in d.index.known_edges
+        for step in ((s.col, t.col), (s.row, t.row)) if step[0] != step[1]
     ))
 
 
@@ -453,10 +454,10 @@ def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
 def _required(d: KrajewskiDiagram) -> tuple:
     """(the required counterterms, code key -> position of each single-trace
-    quartic, (i, j) -> position of the term of the 2-cycles i <= j in
-    ``diagram_cycles`` order: their double trace, or their collapsed single
-    trace when they are exempt at a shared trivial vertex, and even code ->
-    number of each 2-cycle), derived once per diagram."""
+    quartic, by pair number i·k − i(i − 1)/2 + j − i the position of the term
+    of 2-cycles i <= j of k: their double trace, their collapsed single trace
+    if exempt at a shared trivial vertex, else None, and even code -> number
+    of each 2-cycle in ``diagram_cycles`` order), derived once per diagram."""
     return d.index.stage("required_counterterms", lambda: _required_counterterms(d))
 
 
@@ -491,25 +492,25 @@ def _required_counterterms(d: KrajewskiDiagram):
     blocks = [slot[c:c + 2] for c in evens]
     shown = [cycle_display(c, algebra) for c in twos]
     opened = [f"cycle pair {s} + " for s in shown]
-    pairs: dict = {}
+    pairs: list = []  # by pair number, in the order of the exemption table
     for (i, j), ex in zip(combinations_with_replacement(range(len(twos)), 2),
                           pair_exemptions(d, 4).values()):
         if not ex.exempt:
             # 2-cycle blocks sort as their cycles do, so (b_i, b_j) is
             # sorted; every other quartic has one block
-            pairs[i, j] = len(terms)
+            pairs.append(len(terms))
             terms.append(make((quartic, (blocks[i], blocks[j]), coefficient, opened[i] + shown[j],
                                None, ())))
         elif ex.clause == SHARED_TRIVIAL_VERTEX:
             # each cycle walked out of the shared vertex and back
             x = evens[i] + (twos[i][0] == ex.vertex)
             y = evens[j] + (twos[j][0] == ex.vertex)
-            pairs[i, j] = keep((x, x ^ 1, y, y ^ 1),
-                               f"{opened[i]}{shown[j]}, collapsed at the shared trivial vertex")
-        # a quaternion-conjugate pair gives no term
+            pairs.append(keep((x, x ^ 1, y, y ^ 1),
+                              f"{opened[i]}{shown[j]}, collapsed at the shared trivial vertex"))
+        else:  # a quaternion-conjugate pair gives no term
+            pairs.append(None)
     number = {c: i for i, c in enumerate(evens)}
-    return (tuple(terms), MappingProxyType(position), MappingProxyType(pairs),
-            MappingProxyType(number))
+    return tuple(terms), MappingProxyType(position), tuple(pairs), MappingProxyType(number)
 
 
 class CoverageEntry(NamedTuple):
@@ -541,15 +542,16 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
     required = required_counterterms(d)  # the public stages, as a tracer counts them
     generated = action_terms(d)
     _, position, pairs, number = _required(d)
+    k = len(number)
     keys = _generated(d)[1]
     n = len(generated) - len(keys)
     matched: list[InvariantTerm | None] = [*generated[:n], *repeat(None, len(required) - n)]
     for t, key in zip(generated[n:], keys):
         if len(key) == 2:
-            # a mixed walk's two 2-slot blocks; a row edge that is no Γ̃
-            # edge has no number and matches nothing
+            # a mixed walk's two sorted 2-slot blocks, so i <= j; a row edge
+            # that is no Γ̃ edge has no number and matches nothing
             i, j = number.get(key[0][0]), number.get(key[1][0])
-            at = None if i is None or j is None else pairs.get((i, j))
+            at = None if i is None or j is None else pairs[i * k - i * (i - 1) // 2 + j - i]
         else:
             at = position.get(key)
         if at is not None and matched[at] is None:

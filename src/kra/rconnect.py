@@ -20,6 +20,10 @@ cycles, so no independent counterterm arises.
 
 ``pair_exemptions`` decides each pair once per diagram and length bound;
 conditions 2 and 3 and the double-trace counterterms all read its table.
+A pair can be exempt only when its cycles share a label, and lift only when
+they meet in an occupied cell (a column of one holding a row of the other).
+A label -> cycles incidence, built once per cycle list, finds those pairs
+for ``exemption_check`` and ``lift_pair``; all others are built in bulk.
 
 By default the length bounds are inclusive (≤ m), which is the reading the
 worked examples require; ``strict_bounds`` switches to the literal "< m".
@@ -27,14 +31,15 @@ worked examples require; ``strict_bounds`` switches to the literal "< m".
 The records ``Exemption``, ``CycleLift``, ``PairLift`` and ``RConnectReport``
 are named tuples: one is built per pair, so they cost no more than a tuple.
 A record equals the plain tuple of its fields, iterates over them, and is
-copied with ``_replace``.  The pair loop builds each ``PairLift`` with
-``tuple.__new__(PairLift, fields)``, the cheapest way to build a named
-tuple: it skips the Python frame and the length check of ``_make``.
+copied with ``_replace``.  Condition 2 maps ``tuple.__new__(PairLift,
+fields)`` over the pairs, the cheapest way to build a named tuple: it skips
+the Python frame and the length check of ``_make``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -82,51 +87,95 @@ def shared_trivial_vertex(
     return None
 
 
+def _factor_sets(d: KrajewskiDiagram) -> tuple[frozenset[int], frozenset[int]]:
+    """(the indices of d's one-dimensional complex factors, those of its
+    quaternionic factors), read once per diagram."""
+
+    def read():
+        factors = list(enumerate(d.algebra.factors))
+        return (frozenset(i for i, f in factors if f.kind is FactorKind.COMPLEX and f.size == 1),
+                frozenset(i for i, f in factors if f.kind is FactorKind.QUATERNION))
+
+    return d.index.stage("factor_sets", read)
+
+
 def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
     """Decide whether the pair (g1, g2) is excused from condition (2)."""
-    if set(g1).isdisjoint(g2):  # both clauses need a shared vertex
+    shared = sorted(set(g1).intersection(g2))
+    if not shared:  # both clauses need a shared vertex
         return _NOT_EXEMPT
-    algebra = d.algebra
-    trivial = shared_trivial_vertex(g1, g2, algebra)
-    if trivial is not None:
-        return Exemption(True, SHARED_TRIVIAL_VERTEX, trivial)
+    trivial, quaternionic = _factor_sets(d)
+    for v in shared:
+        if v.factor_index in trivial:
+            return Exemption(True, SHARED_TRIVIAL_VERTEX, v)
     if len(g1) == 2 and len(g2) == 2:
-        for v in sorted(set(g1) & set(g2)):
-            if algebra.factors[v.factor_index].kind is not FactorKind.QUATERNION:
+        for v in shared:
+            if v.factor_index not in quaternionic:
                 continue
             other1 = g1[0] if g1[1] == v else g1[1]
             other2 = g2[0] if g2[1] == v else g2[1]
-            if other2 == other1.conjugated(algebra):
+            if other2 == other1.conjugated(d.algebra):
                 return Exemption(True, QUATERNION_CONJUGATE_PAIR, v)
     return _NOT_EXEMPT
+
+
+class _Pairing(NamedTuple):
+    """The pairs of cycles of total length up to a bound.  The cycles are
+    sorted by length, so the partners j >= i of cycle i end at ``stops[i]``,
+    before the first too long for it, and pair (i, j) is number
+    ``firsts[i] + j - i`` in the order of ``cycle_pairs``.  ``through`` maps
+    a label to the numbers of the cycles through it, ascending."""
+
+    cycles: tuple[Cycle, ...]
+    stops: list[int]
+    firsts: list[int]
+    through: dict[RepLabel, list[int]]
+
+    def meeting(self, labels_of: Iterable[Iterable[RepLabel]]) -> list[tuple[int, int]]:
+        """The pairs (i, j) within the bound, in order, such that cycle j
+        passes through one of ``labels_of[i]`` or cycle i through one of
+        ``labels_of[j]``."""
+        stops, through = self.stops, self.through
+        return sorted({(i, j) if i <= j else (j, i) for i, labels in enumerate(labels_of)
+                       for v in labels for j in through.get(v, ())
+                       if (j < stops[i] if i <= j else i < stops[j])})
+
+
+def _pairing(d: KrajewskiDiagram, bound: int) -> _Pairing:
+    """The pairing of ``diagram_cycles(d, bound)``, bound >= 2, built once
+    per diagram and bound for the exemption table and condition 2."""
+
+    def build():
+        cycles = diagram_cycles(d, bound)
+        lengths = [len(c) for c in cycles]
+        stops, firsts, through = [], [0], {}
+        for i, c in enumerate(cycles):
+            stops.append(bisect_right(lengths, bound - lengths[i]))
+            firsts.append(firsts[i] + max(stops[i] - i, 0))
+            for v in c:
+                through.setdefault(v, []).append(i)
+        return _Pairing(cycles, stops, firsts, through)
+
+    return d.index.stage(("pairing", bound), build)
 
 
 def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cycle], Exemption]:
     """The exemption of each pair of Γ̃-cycles of total length up to bound,
     in the order of ``cycle_pairs``, decided once per diagram and bound.
-    A pair with no common label is not exempt, with no call to
-    ``exemption_check``: both clauses need a shared vertex."""
+    Every pair starts not exempt, and only the pairs whose cycles share a
+    label, found through the label incidence, go to ``exemption_check``:
+    both clauses need a shared vertex."""
 
     def decide():
-        cycles = diagram_cycles(d, bound)
-        labels = [frozenset(c) for c in cycles]
-        table = {}
-        for i, j in _pair_indices(cycles, bound):
-            c1, c2 = cycles[i], cycles[j]
-            disjoint = labels[i].isdisjoint(labels[j])
-            table[c1, c2] = _NOT_EXEMPT if disjoint else exemption_check(c1, c2, d)
-        return MappingProxyType(table)
+        cycles, stops, firsts, _ = pairing = _pairing(d, bound)
+        decided = [_NOT_EXEMPT] * firsts[-1]
+        for i, j in pairing.meeting(cycles):
+            decided[firsts[i] + j - i] = exemption_check(cycles[i], cycles[j], d)
+        return MappingProxyType(dict(zip(chain.from_iterable(
+            zip(repeat(c), cycles[i:stop]) for i, (c, stop) in enumerate(zip(cycles, stops))
+        ), decided)))
 
     return d.index.stage(("exemptions", bound), decide)
-
-
-def _pair_indices(cycles: tuple[Cycle, ...], bound: int) -> Iterable[tuple[int, int]]:
-    """The positions (i, j), i <= j, of the pairs of cycles of total length
-    up to bound, in the order of ``pair_exemptions``; the cycles are sorted
-    by length, so the partners of i end before the first too long for it."""
-    lengths = [len(c) for c in cycles]
-    return ((i, j) for i, k in enumerate(lengths)
-            for j in range(i, bisect_right(lengths, bound - k)))
 
 
 class CycleLift(NamedTuple):
@@ -186,36 +235,39 @@ def check_r_connected(
 
 def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RConnectReport:
     bound = m - 1 if strict_bounds else m
-    cycles = diagram_cycles(d, bound) if bound >= 2 else ()
+    if bound < 2:
+        return RConnectReport(m, strict_bounds, (), (), ())  # no cycle is that short
+    pairing = _pairing(d, bound)
+    cycles = pairing.cycles
 
     cond1 = tuple(CycleLift(c, lift_cycle(c, d)) for c in cycles)
 
-    exemptions = pair_exemptions(d, bound) if bound >= 2 else {}
+    exemptions = pair_exemptions(d, bound)
+    decided = list(exemptions.values())
     # the rows the columns of each cycle hold: lift_pair(c1, c2, d) starts a
     # walk only in a cell (column of c1, row of c2), so it finds none when
-    # this set for c1 misses c2.  Its own edge test would refuse such a pair
-    # too, but this set test saves the call for each pair it refuses: on
-    # path n the calls are 2(n - 1), against about n^2 without it
+    # this set for c1 misses c2.  Only the pairs where one set meets the
+    # other cycle are visited: on path n they are n, of about n^2 / 2
     columns, vertices = d.index.columns, d.index.vertices
     reach = [frozenset(vertices[vid].row for col in c for vid in columns.get(col, ()))
              for c in cycles]
-    cond2 = []
-    for (i, j), (pair, ex) in zip(_pair_indices(cycles, bound), exemptions.items()):
-        witness = None
-        if not ex.exempt:
-            c1, c2 = pair
-            if not reach[i].isdisjoint(c2):
-                witness = lift_pair(c1, c2, d)
+    witnesses = [None] * len(decided)
+    for i, j in pairing.meeting(reach):
+        at = pairing.firsts[i] + j - i
+        if not decided[at].exempt:
+            c1, c2 = cycles[i], cycles[j]
+            witness = lift_pair(c1, c2, d) if not reach[i].isdisjoint(c2) else None
             if witness is None and not reach[j].isdisjoint(c1):
                 witness = lift_pair(c2, c1, d)
-        cond2.append(tuple.__new__(PairLift, (pair, ex, witness)))
+            witnesses[at] = witness
+    cond2 = tuple(map(tuple.__new__, repeat(PairLift), zip(exemptions, decided, witnesses)))
 
-    cond3 = _condition_three(cycles, exemptions, bound)
-    return RConnectReport(m, strict_bounds, cond1, tuple(cond2), cond3)
+    cond3 = _condition_three(pairing, decided, bound)
+    return RConnectReport(m, strict_bounds, cond1, cond2, cond3)
 
 
 def _condition_three(
-    cycles: tuple[Cycle, ...], exemptions: Mapping[tuple[Cycle, Cycle], Exemption], bound: int
+    pairing: _Pairing, decided: list[Exemption], bound: int
 ) -> tuple[tuple[Cycle, ...], ...]:
     """The tuples of three or more cycles, of total length at most bound,
     with a pair that is not exempt: by size, each size in the order of
@@ -230,10 +282,12 @@ def _condition_three(
     does not fit."""
     if bound < 6:
         return ()  # three cycles have total length at least 6
-    if all(ex.exempt for ex in exemptions.values()):
+    if all(ex.exempt for ex in decided):
         return ()  # no tuple holds a pair that is not exempt
+    cycles = pairing.cycles
+    pairs = ((i, j) for i, stop in enumerate(pairing.stops) for j in range(i, stop))
     exempt_with: list[set[int]] = [set() for _ in cycles]  # i -> the j >= i it is exempt with
-    for (i, j), ex in zip(_pair_indices(cycles, bound), exemptions.values()):
+    for (i, j), ex in zip(pairs, decided):
         if ex.exempt:
             exempt_with[i].add(j)
     lengths = [len(c) for c in cycles]
@@ -247,13 +301,13 @@ def _condition_three(
     while True:
         size, ok = frames[-1]
         if nxt < len(cycles) and size + lengths[nxt] <= bound:
-            repeat = bool(members) and members[-1] == nxt
+            repeated = bool(members) and members[-1] == nxt
             if ok:
-                ok = nxt in exempt_with[nxt] if repeat else all(
+                ok = nxt in exempt_with[nxt] if repeated else all(
                     nxt in exempt_with[i] for i in distinct
                 )
             members.append(nxt)
-            if not repeat:
+            if not repeated:
                 distinct.append(nxt)
             frames.append((size + lengths[nxt], ok))
             if not ok and len(members) >= 3:

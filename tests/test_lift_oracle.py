@@ -40,10 +40,12 @@ from conftest import (
     grid_diagram,
     must_validate,
     path_diagram,
+    ring_diagram,
     square_diagram,
     verify_cycle_witness,
     verify_rconnect_report,
 )
+from random_diagrams import random_valid_diagrams
 
 
 def _relabelled(d, seed: int):
@@ -178,6 +180,21 @@ class TestOracleWitnesses:
         for k in (1, 2, 3, 4):
             for word in product(labels, repeat=k):
                 assert lift_cycle(word, d) == oracle_lift.lift_cycle(word, d), word
+
+    def test_every_two_label_word(self):
+        """Each ordered pair of distinct column labels, a Γ̃ edge or not:
+        the lookup of a 2-cycle lift must give the search's witness, and
+        None exactly where the search finds no lift."""
+        words = lifts = 0
+        for d in random_valid_diagrams(4, 300) + [must_validate(ring_diagram(11))]:
+            labels = sorted({v.col for v in d.vertices})
+            for word in product(labels, repeat=2):
+                if word[0] != word[1]:
+                    w = lift_cycle(word, d)
+                    assert w == oracle_lift.lift_cycle(word, d), word
+                    words += 1
+                    lifts += w is not None
+        assert 0 < lifts < words, (lifts, words)
 
     def test_least_lift_may_end_in_its_start_column(self):
         d = padded_triangle()

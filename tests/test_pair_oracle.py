@@ -33,7 +33,9 @@ from kra import (
     required_counterterms,
 )
 
-from conftest import FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram
+from conftest import (
+    FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram, ring_diagram,
+)
 from test_lift_oracle import _relabelled
 
 
@@ -47,6 +49,9 @@ def _assert_same_pair_stages(d) -> None:
 def _family_diagrams():
     rows = [(f"grid{k}", grid_diagram(k)) for k in (2, 3, 4, 5)]
     rows += [(f"path{n}", path_diagram(n)) for n in (5, 10, 20, 40)]
+    # a ring's closing 2-cycle (0, n) comes second in cycle order and shares
+    # label n with the last, (n - 1, n): a pair that meets far apart
+    rows += [(f"ring{n}", ring_diagram(n)) for n in (11, 31)]
     rows += [
         ("grid3-relabelled", _relabelled(grid_diagram(3), 7)),
         ("path10-relabelled", _relabelled(path_diagram(10), 8)),
@@ -70,7 +75,7 @@ def test_families_and_fixtures(d):
     "d",
     [pytest.param(must_validate(builtin(name)), id=name) for name in ("sm", "chain")]
     + [pytest.param(grid_diagram(k), id=f"grid{k}") for k in (2, 3)]
-    + [pytest.param(path_diagram(5), id="path5")],
+    + [pytest.param(path_diagram(5), id="path5"), pytest.param(ring_diagram(11), id="ring11")],
 )
 def test_condition_three_in_dimensions_five_to_eight(d):
     """Tuples of three and four cycles: condition 3 decides each by the

@@ -17,6 +17,7 @@ import pytest
 import oracle_pairs
 import oracle_walks
 from kra import action_terms, check_r_connected, counterterm_coverage, required_counterterms
+from kra.invariants import _required
 
 from random_diagrams import random_valid_diagrams
 
@@ -41,3 +42,24 @@ def test_stages_give_the_oracle_results(seed):
                 by_walk += matched.origin.startswith("walk ")
                 by_mixed += matched.origin.startswith("mixed walk ")
     assert by_walk and by_mixed, (by_walk, by_mixed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_pair_that_is_not_exempt_lifts_exactly_when_its_double_trace_is_generated(seed):
+    """500 diagrams per seed.  At m = 4 condition 2 lists the pairs of
+    2-cycles in pair-number order, and the required terms hold each pair's
+    term at the position the pair table gives; for a pair that is not
+    exempt that term is its double trace of two blocks."""
+    pairs = 0
+    for d in random_valid_diagrams(seed, 500):
+        entries = counterterm_coverage(d).entries
+        positions = _required(d)[2]
+        cond2 = check_r_connected(d, 4).cond2
+        assert len(cond2) == len(positions)
+        for entry, at in zip(cond2, positions):
+            if not entry.exemption.exempt:
+                pairs += 1
+                required, matched = entries[at]
+                assert len(required.blocks) == 2
+                assert (entry.status == "lifted") == (matched is not None), entry.pair
+    assert pairs > 4000, pairs

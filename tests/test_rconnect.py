@@ -33,6 +33,7 @@ from conftest import (
     load_fixture,
     must_validate,
     path_diagram,
+    ring_diagram,
     square_diagram,
     verify_rconnect_report,
 )
@@ -119,9 +120,9 @@ class TestPairTable:
         [lambda: builtin("sm"), lambda: builtin("chain"), lambda: builtin("ym", 3)]
         + [lambda name=name: load_fixture(name) for name in FIXTURE_NAMES]
         + [square_diagram, lambda: grid_diagram(2), lambda: grid_diagram(3),
-           lambda: path_diagram(10)],
+           lambda: path_diagram(10), lambda: ring_diagram(11), lambda: ring_diagram(31)],
         ids=["sm", "chain", "ym3"] + list(FIXTURE_NAMES)
-        + ["square", "grid2", "grid3", "path10"],
+        + ["square", "grid2", "grid3", "path10", "ring11", "ring31"],
     )
     def test_table_agrees_with_the_block_collapse(self, make):
         _assert_table_agrees(must_validate(make()))
