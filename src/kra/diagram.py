@@ -15,7 +15,7 @@ broken diagram can be inspected rather than merely rejected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
@@ -112,7 +112,7 @@ class NumericOperator:
         return rows, cols
 
     def is_zero(self) -> bool:
-        return not any(entry for row in self.matrix for entry in row)
+        return not any(map(any, self.matrix))
 
     def is_rectangular(self) -> bool:
         return len({len(row) for row in self.matrix}) <= 1
@@ -439,14 +439,12 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
         entries.append(CheckResult("j-involution", not swap_bad, "error", tuple(swap_bad)))
 
         sym_bad = []
-        pair_count: dict[frozenset[str], int] = {}
+        pair_count: dict[tuple[str, str], int] = {}
         for edge in d.edges:
-            key = edge.endpoints()
+            key = proj_edge(edge.source, edge.target)
             pair_count[key] = pair_count.get(key, 0) + 1
-        for key, count in pair_count.items():
-            mirrored = frozenset(mapping[v] for v in key)
-            if pair_count.get(mirrored, 0) != count:
-                a, b = sorted(key) if len(key) == 2 else (next(iter(key)),) * 2
+        for (a, b), count in pair_count.items():
+            if pair_count.get(proj_edge(mapping[a], mapping[b]), 0) != count:
                 sym_bad.append(f"edge multiset not j-symmetric at pair ({a}, {b})")
         entries.append(CheckResult("j-symmetry", not sym_bad, "error", tuple(sym_bad)))
 
@@ -471,7 +469,9 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     ok = all(e.ok or e.severity != "error" for e in entries)
     resolved = None
     if ok and mapping is not None:
-        resolved = replace(d, jmap=_normalized_jmap(mapping.items()))
+        resolved = KrajewskiDiagram(
+            d.algebra, d.kodim, d.vertices, d.edges, _normalized_jmap(mapping.items()), d.families
+        )
         object.__setattr__(resolved, "_index", d.index)
     return ValidationReport(tuple(entries), resolved)
 
@@ -482,16 +482,22 @@ def _check_structure(d: KrajewskiDiagram) -> CheckResult:
         problems.append(f"KO-dimension {d.kodim} outside 0..7")
     if d.families < 1:
         problems.append(f"families must be positive, got {d.families}")
+    # every (factor index, conjugate) a label may be; check_against words
+    # the error of any other
+    factors = d.algebra.factors
+    valid = {(i, False) for i in range(len(factors))}
+    valid.update((i, True) for i, f in enumerate(factors) if f.kind is FactorKind.COMPLEX)
     seen_v: set[str] = set()
     for v in d.vertices:
         if v.id in seen_v:
             problems.append(f"duplicate vertex id {v.id}")
         seen_v.add(v.id)
         for label in (v.col, v.row):
-            try:
-                label.check_against(d.algebra)
-            except ValueError as exc:
-                problems.append(f"vertex {v.id}: {exc}")
+            if label not in valid:
+                try:
+                    label.check_against(d.algebra)
+                except ValueError as exc:
+                    problems.append(f"vertex {v.id}: {exc}")
         if v.sign not in (None, 1, -1):
             problems.append(f"vertex {v.id}: sign must be +1 or -1")
     seen_e: set[str] = set()

@@ -17,6 +17,17 @@ Representation labels are factor names with a trailing ``~`` for conjugates.
 Matrix entries are exact complex rationals ``a/b+c/d*i``.  Unknown
 directives, duplicate or undeclared identifiers, and malformed matrices are
 parse errors carrying a precise source span.
+
+A line spaced as ``serialize`` writes it is read by one match of one
+pattern; any other line is tokenized.  Likewise a matrix literal spelled as
+``serialize`` writes it, rows and entries joined by ``", "`` and no other
+space, is checked by one match of a literal pattern and split on those
+separators.  Any other spelling takes the span-tracking reader, and so does
+a canonical-looking literal with an entry that does not read, so that
+reader words and places every matrix error.  Each parse keeps three tables,
+dropped when it returns: literal text -> operator and operator label ->
+operator, so an edge and its j-mirror share one operator, and entry text ->
+value, so each distinct entry is read once.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
@@ -36,7 +48,7 @@ from .diagram import (
     SymbolicOperator,
     jmap_pairs,
 )
-from .exactlin import GaussRational
+from .exactlin import GaussRational, Matrix
 
 __all__ = ["SourceSpan", "ParseError", "parse", "serialize", "format_entry"]
 
@@ -186,60 +198,84 @@ def _entry_re() -> re.Pattern[str]:
     )
 
 
-_ZERO = Fraction(0)
+@functools.cache
+def _literal_re() -> re.Pattern[str]:
+    """A matrix literal spelled as serialize writes it, ``[[a, b], [c, d]]``:
+    at least one row of at least one entry, each entry a run of the entry
+    pattern's characters.  Compiled at the first matrix literal."""
+    row = r"\[[0-9i+*/-]+(?:, [0-9i+*/-]+)*\]"
+    return re.compile(rf"\[{row}(?:, {row})*\]")
 
 
-def _integer(text: str, column: int, lineno: int) -> int:
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _integer(m, group, lineno: int, offset: int = 1) -> int:
     """The value of an integer field, an optional sign and ASCII digits; one
-    too long for ``int`` is a parse error at its span."""
+    too long for ``int`` is a parse error at its span.  The field is group
+    of m, at column offset + m.start(group)."""
+    text = m[group]
     try:
         return int(text)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise ParseError(
-            SourceSpan(lineno, column, len(text)),
+            SourceSpan(lineno, offset + m.start(group), len(text)),
             f"integer too long ({len(text)} digits)",
         ) from None
 
 
-def _entry_int(m: re.Match, group: int, offset: int, lineno: int) -> int:
-    """The integer of one group of an entry match at column offset, 1 when
-    the group is empty."""
-    text = m[group]
-    return _integer(text, offset + m.start(group), lineno) if text else 1
-
-
 def _parse_entry(text: str, lineno: int, column: int) -> GaussRational:
+    """The value of one matrix entry that starts at column; spaces around it
+    are skipped.  Its spans are worked out only to raise an error."""
     stripped = text.strip()
-    offset = column + (len(text) - len(text.lstrip()))
     m = _entry_re().fullmatch(stripped) if stripped else None
     if m is None:
         raise ParseError(
-            SourceSpan(lineno, offset, max(len(stripped), 1)),
+            SourceSpan(lineno, _entry_column(text, column), max(len(stripped), 1)),
             f"malformed matrix entry {stripped!r}",
             expected=("a/b+c/d*i",),
         )
-    re_num, sign, unit = m.group(1, 3, 6)
+    re_num, re_den, sign, im_num, im_den, unit = m.groups()
     try:
         re_part = im_part = _ZERO
         if re_num:
-            re_part = Fraction(_entry_int(m, 1, offset, lineno), _entry_int(m, 2, offset, lineno))
+            re_part = Fraction(int(re_num), int(re_den)) if re_den else Fraction(int(re_num))
         if unit:
-            im_part = Fraction(_entry_int(m, 4, offset, lineno), _entry_int(m, 5, offset, lineno))
+            if im_den:
+                im_part = Fraction(int(im_num), int(im_den))
+            else:
+                im_part = Fraction(int(im_num)) if im_num else _ONE
             if sign == "-":
                 im_part = -im_part
-        return GaussRational(re_part, im_part)
+    except ValueError:  # more digits than int() reads: the first such group
+        offset = _entry_column(text, column)
+        for group in (1, 2, 4, 5):
+            if m[group]:
+                _integer(m, group, lineno, offset)
+        raise
     except ZeroDivisionError:
         raise ParseError(
-            SourceSpan(lineno, offset, len(stripped)),
+            SourceSpan(lineno, _entry_column(text, column), len(stripped)),
             "zero denominator in matrix entry",
         ) from None
+    return GaussRational(re_part, im_part)
+
+
+def _entry_column(text: str, column: int) -> int:
+    """The column of an entry's first character, past the spaces before it."""
+    return column + len(text) - len(text.lstrip())
 
 
 def _split_top_level(text: str) -> list[tuple[str, int]]:
     """Split on top-level commas; returns (chunk, offset-within-text)."""
     chunks: list[tuple[str, int]] = []
-    depth = 0
     start = 0
+    if "[" not in text and "]" not in text:  # a row: every comma is top-level
+        for chunk in text.split(","):
+            chunks.append((chunk, start))
+            start += len(chunk) + 1
+        return chunks
+    depth = 0
     for i, ch in enumerate(text):
         if ch == "[":
             depth += 1
@@ -292,9 +328,13 @@ class _ParserState:
     edges: list[EdgePair] = field(default_factory=list)
     edge_ids: set[str] = field(default_factory=set)
     jmap: list[tuple[str, str]] = field(default_factory=list)
-    # matrix literal text -> the operator it parsed to: an edge and its
-    # j-mirror carry the same matrix, so the second is not read again
+    # matrix literal text -> the operator it parsed to, and operator label ->
+    # its operator: an edge and its j-mirror carry the same matrix or label,
+    # so the second shares the first one's operator
     matrices: dict[str, NumericOperator] = field(default_factory=dict)
+    symbols: dict[str, SymbolicOperator] = field(default_factory=dict)
+    # entry text -> its value, for the entries of canonical literals
+    entries: dict[str, GaussRational] = field(default_factory=dict)
 
 
 def parse(text: str) -> KrajewskiDiagram:
@@ -399,130 +439,158 @@ class _Fields:
 
 
 # ---------------------------------------------------------------------------
-# Semantic checks, shared by the builders: each takes a field's text and its
-# 1-based column, and words its error in this one place.
+# Semantic checks, shared by the builders: each takes the match (or _Fields)
+# of a line and a field's group, words its error in this one place, and
+# reads the field's column only to raise it.
 
 
-def _new_id(ids, text: str, column: int, lineno: int, what: str) -> str:
-    if text in ids:
-        raise ParseError(
-            SourceSpan(lineno, column, len(text)), f"duplicate {what} {text!r}"
-        )
-    return text
+def _span(m, group: str, lineno: int) -> SourceSpan:
+    return SourceSpan(lineno, m.start(group) + 1, len(m[group]))
 
 
-def _field_kind(text: str, column: int, lineno: int) -> FactorKind:
+def _duplicate(m, group: str, lineno: int, what: str) -> ParseError:
+    return ParseError(_span(m, group, lineno), f"duplicate {what} {m[group]!r}")
+
+
+def _undeclared(m, group: str, lineno: int) -> ParseError:
+    return ParseError(_span(m, group, lineno), f"undeclared vertex {m[group]!r}")
+
+
+def _field_kind(m, group: str, lineno: int) -> FactorKind:
+    text = m[group]
     try:
         return FactorKind(text)
     except ValueError:
         raise ParseError(
-            SourceSpan(lineno, column, len(text)),
-            f"bad field kind {text!r}",
-            ("R", "C", "H"),
+            _span(m, group, lineno), f"bad field kind {text!r}", ("R", "C", "H")
         ) from None
 
 
-def _positive(text: str, column: int, lineno: int, what: str) -> int:
-    value = _integer(text, column, lineno)
+def _positive(m, group: str, lineno: int, what: str) -> int:
+    value = _integer(m, group, lineno)
     if value < 1:
-        raise ParseError(
-            SourceSpan(lineno, column, len(text)), f"{what} must be positive"
-        )
+        raise ParseError(_span(m, group, lineno), f"{what} must be positive")
     return value
 
 
-def _rep_label(state: _ParserState, text: str, column: int, lineno: int) -> RepLabel:
-    label = state.labels.get(text)
-    if label is not None:
-        return label
-    name = text
+def _rep_label(state: _ParserState, m, group: str, lineno: int) -> RepLabel:
+    """The label a field names, on a miss of ``state.labels``."""
+    text = name = m[group]
     conjugate = name.endswith("~")
     if conjugate:
         name = name[:-1]
     index = state.factor_names.get(name)
     if index is None:
-        raise ParseError(
-            SourceSpan(lineno, column, len(text)),
-            f"unknown factor {name!r}",
-        )
+        raise ParseError(_span(m, group, lineno), f"unknown factor {name!r}")
     # a factor keeps its index once declared, so a label read once stays valid
     label = state.labels[text] = RepLabel(index, conjugate)
     return label
 
 
-def _require_vertex(state: _ParserState, text: str, column: int, lineno: int) -> str:
-    if text not in state.vertex_ids:
-        raise ParseError(
-            SourceSpan(lineno, column, len(text)),
-            f"undeclared vertex {text!r}",
-        )
-    return text
+def _matrix(state: _ParserState, m, lineno: int) -> NumericOperator:
+    """The operator of an edge's matrix literal, read once per parse.  A
+    literal in serialize's spelling whose entries all read is split by
+    _canonical_rows; any other, and every error, goes through _parse_matrix."""
+    literal = _matrix_literal(m["ematrix"])
+    operator = state.matrices.get(literal)
+    if operator is None:
+        rows = _canonical_rows(state.entries, literal) if _literal_re().fullmatch(literal) else None
+        if rows is None:
+            operator = _parse_matrix(literal, lineno, m.start("ematrix") + 1)
+        else:
+            operator = NumericOperator(rows)
+        state.matrices[literal] = operator
+    return operator
+
+
+def _canonical_rows(entries: dict[str, GaussRational], literal: str) -> Matrix | None:
+    """The rows of a literal that _literal_re matched, each distinct entry
+    text read once per parse through entries; None if an entry does not
+    read, so that _parse_matrix words and places its error."""
+    rows = []
+    for row in literal[2:-2].split("], ["):
+        cells = row.split(", ")
+        for text in cells:
+            if text not in entries:
+                try:
+                    entries[text] = _parse_entry(text, 0, 0)
+                except ParseError:
+                    return None
+        rows.append(tuple(map(entries.__getitem__, cells)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
 # One builder per directive, reading a match of _line_re or the _Fields of a
-# tokenized line
+# tokenized line.  Each asks for its fields in grammar order.
 
 _SIGNS = {"+": 1, "-": -1}
 
 
 def _factor_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    name = _new_id(state.factor_names, m["fname"], m.start("fname") + 1, lineno, "factor")
-    kind = _field_kind(m["fkind"], m.start("fkind") + 1, lineno)
-    size = _positive(m["fsize"], m.start("fsize") + 1, lineno, "factor size")
+    name = m["fname"]
+    if name in state.factor_names:
+        raise _duplicate(m, "fname", lineno, "factor")
+    kind = _field_kind(m, "fkind", lineno)
+    size = _positive(m, "fsize", lineno, "factor size")
     state.factor_names[name] = len(state.factors)
     state.factors.append(AlgebraFactor(size, kind))
 
 
 def _kodim_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    text, column = m["kvalue"], m.start("kvalue") + 1
-    value = _integer(text, column, lineno)
+    value = _integer(m, "kvalue", lineno)
     if not 0 <= value <= 7:
-        raise ParseError(
-            SourceSpan(lineno, column, len(text)),
-            f"KO-dimension must be in 0..7, got {value}",
-        )
+        raise ParseError(_span(m, "kvalue", lineno), f"KO-dimension must be in 0..7, got {value}")
     if state.kodim is not None:
-        raise ParseError(SourceSpan(lineno, column), "duplicate kodim directive")
+        raise ParseError(SourceSpan(lineno, m.start("kvalue") + 1), "duplicate kodim directive")
     state.kodim = value
 
 
 def _families_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    column = m.start("nvalue") + 1
-    value = _positive(m["nvalue"], column, lineno, "families")
+    value = _positive(m, "nvalue", lineno, "families")
     if state.families is not None:
-        raise ParseError(SourceSpan(lineno, column), "duplicate families directive")
+        raise ParseError(SourceSpan(lineno, m.start("nvalue") + 1), "duplicate families directive")
     state.families = value
 
 
 def _vertex_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    vid = _new_id(state.vertex_ids, m["vid"], m.start("vid") + 1, lineno, "vertex")
-    col = _rep_label(state, m["vcol"], m.start("vcol") + 1, lineno)
-    row = _rep_label(state, m["vrow"], m.start("vrow") + 1, lineno)
+    vid = m["vid"]
+    if vid in state.vertex_ids:
+        raise _duplicate(m, "vid", lineno, "vertex")
+    labels = state.labels
+    col = labels.get(m["vcol"]) or _rep_label(state, m, "vcol", lineno)
+    row = labels.get(m["vrow"]) or _rep_label(state, m, "vrow", lineno)
     state.vertex_ids.add(vid)
     state.vertices.append(DiagramVertex(vid, col, row, _SIGNS.get(m["vsign"])))
 
 
 def _edge_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    eid = _new_id(state.edge_ids, m["eid"], m.start("eid") + 1, lineno, "edge")
-    source = _require_vertex(state, m["esrc"], m.start("esrc") + 1, lineno)
-    target = _require_vertex(state, m["edst"], m.start("edst") + 1, lineno)
+    eid = m["eid"]
+    if eid in state.edge_ids:
+        raise _duplicate(m, "eid", lineno, "edge")
+    vertex_ids = state.vertex_ids
+    if (source := m["esrc"]) not in vertex_ids:
+        raise _undeclared(m, "esrc", lineno)
+    if (target := m["edst"]) not in vertex_ids:
+        raise _undeclared(m, "edst", lineno)
     operator: SymbolicOperator | NumericOperator
     if m["ematrix"] is not None:
-        literal = _matrix_literal(m["ematrix"])
-        operator = state.matrices.get(literal)
-        if operator is None:
-            operator = _parse_matrix(literal, lineno, m.start("ematrix") + 1)
-            state.matrices[literal] = operator
+        operator = _matrix(state, m, lineno)
     else:
-        operator = SymbolicOperator(m["elabel"] or eid)
+        label = m["elabel"] or eid
+        operator = state.symbols.get(label)
+        if operator is None:
+            operator = state.symbols[label] = SymbolicOperator(label)
     state.edge_ids.add(eid)
     state.edges.append(EdgePair(eid, source, target, operator))
 
 
 def _jmap_line(state: _ParserState, m: re.Match, lineno: int) -> None:
-    left = _require_vertex(state, m["jleft"], m.start("jleft") + 1, lineno)
-    right = _require_vertex(state, m["jright"], m.start("jright") + 1, lineno)
+    vertex_ids = state.vertex_ids
+    if (left := m["jleft"]) not in vertex_ids:
+        raise _undeclared(m, "jleft", lineno)
+    if (right := m["jright"]) not in vertex_ids:
+        raise _undeclared(m, "jright", lineno)
     state.jmap.append((left, right))
 
 
@@ -540,19 +608,20 @@ _LINE_FORMS = {
 # Serialization
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def format_entry(value: GaussRational) -> str:
-    """Canonical text for one matrix entry."""
-    if value.im == 0:
-        return _format_fraction(value.re)
-    im_text = f"{_format_fraction(abs(value.im))}*i"
-    if value.re == 0:
-        return im_text if value.im > 0 else f"-{im_text}"
-    joiner = "+" if value.im > 0 else "-"
-    return f"{_format_fraction(value.re)}{joiner}{im_text}"
+    """Canonical text for one matrix entry.  A fraction prints as ``a`` or
+    ``a/b``, as ``str`` writes it."""
+    re_part, im_part = value.re, value.im
+    if not im_part:
+        return str(re_part)
+    im_text = str(im_part)
+    if not re_part:
+        return f"{im_text}*i"
+    joiner = "" if im_text[0] == "-" else "+"
+    return f"{str(re_part)}{joiner}{im_text}*i"
+
+
+_by_id = attrgetter("id")
 
 
 def _factor_display_names(algebra: FiniteAlgebra) -> list[str]:
@@ -566,7 +635,9 @@ def _factor_display_names(algebra: FiniteAlgebra) -> list[str]:
 
 
 def serialize(d: KrajewskiDiagram) -> str:
-    """Canonical text: sorted declarations, resolved jmap, stable spacing."""
+    """Canonical text: sorted declarations, resolved jmap, stable spacing.
+    Each matrix object is formatted once per call; an edge and its j-mirror
+    usually share one."""
     names = _factor_display_names(d.algebra)
     lines = [
         f"factor {names[i]} {f.kind.value} {f.size}"
@@ -574,22 +645,28 @@ def serialize(d: KrajewskiDiagram) -> str:
     ]
     lines.append(f"kodim {d.kodim % 8}")
     lines.append(f"families {d.families}")
-
-    def rep_text(label: RepLabel) -> str:
-        return names[label.factor_index] + ("~" if label.conjugate else "")
-
-    for v in sorted(d.vertices, key=lambda v: v.id):
+    # the text of each label, as texts[label.conjugate][label.factor_index]
+    texts = (names, [f"{name}~" for name in names])
+    for v in sorted(d.vertices, key=_by_id):
+        col, row = v.col, v.row
         sign = "" if v.sign is None else (" +" if v.sign > 0 else " -")
-        lines.append(f"vertex {v.id} {rep_text(v.col)} {rep_text(v.row)}{sign}")
-    for e in sorted(d.edges, key=lambda e: e.id):
-        if isinstance(e.operator, SymbolicOperator):
-            op = f"label {e.operator.label}"
+        lines.append(
+            f"vertex {v.id} {texts[col.conjugate][col.factor_index]} "
+            f"{texts[row.conjugate][row.factor_index]}{sign}"
+        )
+    literals: dict[int, str] = {}  # id(matrix) -> its literal
+    for e in sorted(d.edges, key=_by_id):
+        operator = e.operator
+        if isinstance(operator, SymbolicOperator):
+            op = f"label {operator.label}"
         else:
-            rows = ", ".join(
-                "[" + ", ".join(format_entry(x) for x in row) + "]"
-                for row in e.operator.matrix
-            )
-            op = f"matrix [{rows}]"
+            matrix = operator.matrix
+            op = literals.get(id(matrix))
+            if op is None:
+                rows = ", ".join(
+                    "[" + ", ".join(map(format_entry, row)) + "]" for row in matrix
+                )
+                op = literals[id(matrix)] = f"matrix [{rows}]"
         lines.append(f"edge {e.id} {e.source} -> {e.target} {op}")
     for a, b in jmap_pairs(d):
         lines.append(f"jmap {a} <-> {b}")

@@ -261,27 +261,28 @@ def _dagger(matrix: tuple[tuple[GaussRational, ...], ...]):
 
 
 def basis_dimension(etilde: ProjEdge, d: KrajewskiDiagram) -> int:
-    """dim S_ẽ: independent multiplets on the projected edge etilde."""
+    """dim S_ẽ: independent multiplets on the projected edge etilde.
+
+    Symbolic operators count their distinct labels.  Exact matrices count
+    the dimension of their span, each taken from the low label to the high
+    one (the adjoint of an edge that runs the other way).  One matrix spans
+    a line unless it is zero, and so does its adjoint, so a single matrix
+    needs neither the adjoint nor ``span_rank``; two or more go to
+    ``span_rank``."""
     if etilde[0] == etilde[1]:
         raise ValueError("loop edges carry no scalar multiplets")
-    labels: set[str] = set()
-    matrices = []
-    modes: set[str] = set()
-    for e, oriented in d.index.horizontal.get(etilde, ()):
-        if isinstance(e.operator, SymbolicOperator):
-            modes.add("symbolic")
-            labels.add(e.operator.label)
-        else:
-            modes.add("numeric")
-            m = e.operator.matrix
-            matrices.append(m if oriented else _dagger(m))
-    if len(modes) > 1:
+    over = d.index.horizontal.get(etilde, ())
+    numeric = [(e.operator.matrix, oriented) for e, oriented in over
+               if not isinstance(e.operator, SymbolicOperator)]
+    if not numeric:
+        return len({e.operator.label for e, _oriented in over})
+    if len(numeric) < len(over):
         raise ValueError(
             "mixed symbolic and numeric operators over one projected edge"
         )
-    if not modes:
-        return 0
-    return len(labels) if labels else span_rank(matrices)
+    if len(numeric) == 1:
+        return 1 if any(map(any, numeric[0][0])) else 0
+    return span_rank([m if oriented else _dagger(m) for m, oriented in numeric])
 
 
 def enumerate_fields(d: KrajewskiDiagram) -> FieldInventory:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -29,6 +30,7 @@ from kra import (
     fundamental_multiplicities,
     hilbert_dimension,
     ko_signs,
+    parse,
     project,
     required_counterterms,
     resolve_jmap,
@@ -36,6 +38,8 @@ from kra import (
     structural_key,
     validate,
 )
+
+from test_dsl_oracle import _load_bench_inputs
 
 from conftest import FIXTURE_DIR, load_fixture, must_validate, square_diagram
 
@@ -428,6 +432,43 @@ class TestValidation:
         algebra, vertices, edges, jmap = self._two_vertex_parts()
         report = validate(KrajewskiDiagram(algebra, 9, vertices, edges, jmap))
         assert not report.ok
+
+
+class TestValidationBuildsFewTables:
+    """validate builds only the index tables its checks read: the vertex
+    map, plus ``cells`` only when a mirror is inferred, and the horizontal
+    edge table (with the known edges it is built from) only when both kinds
+    of operator occur.  A validated copy is kept for every corpus member, so
+    each table more is paid for by every member held."""
+
+    BASE = {"vertices", "_edges", "_stages"}
+
+    @staticmethod
+    def _tables_after_validate(d: KrajewskiDiagram) -> set[str]:
+        fresh = parse(serialize(d)) if d.jmap else replace(d)  # an index of its own
+        assert validate(fresh).ok
+        return set(fresh.index.__dict__)
+
+    @pytest.mark.parametrize("name", ["sm", "chain", "ym:3"])
+    def test_declared_mirrors(self, name):
+        assert self._tables_after_validate(builtin(name)) == self.BASE
+
+    def test_inferred_mirrors(self):
+        d = square_diagram()
+        bare = KrajewskiDiagram(d.algebra, d.kodim, d.vertices, d.edges)
+        assert self._tables_after_validate(bare) == self.BASE | {"cells"}
+
+    def test_numeric_designs(self):
+        rows = _load_bench_inputs().corpus(random.Random(11), 60)
+        numeric = [d for name, d, _expected in rows if name.endswith("n")]
+        assert numeric
+        for d in numeric:
+            assert self._tables_after_validate(d) == self.BASE
+
+    def test_both_kinds_of_operator(self):
+        d = load_fixture("mixed_operators.kra")  # no jmap: its mirrors are inferred
+        validate(d)
+        assert set(d.index.__dict__) == self.BASE | {"cells", "known_edges", "horizontal"}
 
 
 class TestJmapResolution:

@@ -20,6 +20,9 @@ from kra import (
     structural_key,
 )
 
+import oracle_dsl
+from kra.dsl import _literal_re
+
 from conftest import (
     FIXTURE_NAMES,
     fixture_text,
@@ -301,6 +304,109 @@ class TestMatrixLiteralReuse:
         first = parse(self.TWO_EDGES).edges[0].operator
         second = parse(self.TWO_EDGES).edges[0].operator
         assert first == second and first is not second
+
+
+#: a run of digits, and one that is not zero (a denominator)
+_DIGITS = st.from_regex(r"[0-9]{1,3}", fullmatch=True)
+_DENOMINATOR = st.from_regex(r"0?[1-9][0-9]?", fullmatch=True)
+
+
+@st.composite
+def entry_texts(draw) -> str:
+    """One matrix entry drawn from the whole entry grammar: a real part, an
+    imaginary part or both, signs and leading zeros included."""
+
+    def ratio(sign: str) -> str:
+        text = sign + draw(_DIGITS)
+        return text + "/" + draw(_DENOMINATOR) if draw(st.booleans()) else text
+
+    unit = "i" if draw(st.booleans()) else ratio("") + "*i"
+    form = draw(st.sampled_from(["real", "imaginary", "both"]))
+    if form == "real":
+        return ratio(draw(st.sampled_from(["", "+", "-"])))
+    if form == "imaginary":
+        return draw(st.sampled_from(["", "+", "-"])) + unit
+    return ratio(draw(st.sampled_from(["", "+", "-"]))) + draw(st.sampled_from(["+", "-"])) + unit
+
+
+@st.composite
+def matrix_documents(draw) -> tuple[str, str]:
+    """A document of one to four matrix edges, as (literals spelled as
+    serialize writes them, the same literals re-spaced).  Entries come from
+    a small pool, so they repeat within and across literals, and a literal
+    may repeat."""
+    pool = draw(st.lists(entry_texts(), min_size=1, max_size=6))
+    literals = []
+    for _ in range(draw(st.integers(1, 4))):
+        if literals and draw(st.booleans()):
+            literals.append(draw(st.sampled_from(literals)))
+            continue
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        literals.append([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)])
+
+    def document(spell) -> str:
+        edges = [f"edge e{k} v -> v matrix {spell(rows)}" for k, rows in enumerate(literals)]
+        return "\n".join(["factor c1 C 1", "vertex v c1 c1 +", *edges]) + "\n"
+
+    canonical = document(lambda rows: "[" + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]")
+    spaced = document(lambda rows: "[ " + " ,".join("[" + " , ".join(r) + " ]" for r in rows) + "]")
+    return canonical, spaced
+
+
+class TestCanonicalMatrixLiterals:
+    """A literal spelled as serialize writes it is read by one match of
+    ``_literal_re`` and split on its separators; any other spelling, and
+    every error, takes the span-tracking path.  Both read the same values,
+    and every error keeps its message and position."""
+
+    PRELUDE = "factor c1 C 1\nvertex v c1 c1 +\n"
+
+    @given(matrix_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_both_paths_and_the_oracle_read_equal_diagrams(self, documents):
+        canonical, spaced = documents
+        literals = [line.partition(" matrix ")[2] for line in canonical.splitlines()[2:]]
+        assert all(_literal_re().fullmatch(lit) for lit in literals)
+        assert not any(_literal_re().fullmatch(line.partition(" matrix ")[2])
+                       for line in spaced.splitlines()[2:])
+        assert parse(canonical) == parse(spaced) == oracle_dsl.parse(canonical)
+
+    @pytest.mark.parametrize("literal, column, message", [
+        ("[[1, 1/0]]", 27, "zero denominator in matrix entry"),
+        ("[[1, 2x]]", 27, "malformed matrix entry '2x' (expected a/b+c/d*i)"),
+        ("[[1], [1/0+1/9*i]]", 29, "zero denominator in matrix entry"),
+        ("[[1, " + "7" * 5000 + "]]", 27, "integer too long (5000 digits)"),
+        ("[[2, 1/0+1/" + "7" * 5000 + "*i]]", 27, "zero denominator in matrix entry"),
+        ("[[2, 1+" + "7" * 5000 + "/0*i]]", 29, "integer too long (5000 digits)"),
+    ], ids=["zero-denominator", "malformed", "second-row", "long", "zero-before-long",
+            "long-before-zero"])
+    def test_a_bad_canonical_looking_literal_is_placed_at_its_first_use(
+        self, literal, column, message
+    ):
+        text = (
+            self.PRELUDE + "edge e v -> v label x\nedge g v -> v matrix [[5]]\n"
+            f"edge f v -> v matrix {literal}\nedge h v -> v matrix {literal}\n"
+        )
+        got = err(text)
+        assert str(got) == f"5:{column}: {message}"
+        if "7" * 5000 not in literal:  # the oracle reads no overlong integer
+            with pytest.raises(ParseError) as want:
+                oracle_dsl.parse(text)
+            assert (got.span, got.message, got.expected) == (
+                want.value.span, want.value.message, want.value.expected
+            )
+
+    def test_entry_values_are_shared_within_a_parse(self):
+        d = parse(self.PRELUDE + "edge e v -> v matrix [[1/2, 2*i], [1/2, 3]]\n"
+                  "edge f v -> v matrix [[3, 1/2]]\n")
+        (a, b), (c, three) = d.edges[0].operator.matrix
+        assert a is c and d.edges[1].operator.matrix == ((three, a),)
+        assert d.edges[1].operator.matrix[0][0] is three
+
+    def test_an_edge_and_its_mirror_share_one_symbolic_operator(self):
+        e, je = parse(TestMatrixLiteralReuse.TWO_EDGES.replace(
+            "matrix [[1], [2/3*i]]", "label Y")).edges
+        assert e.operator is je.operator
 
 
 class TestIntegerFields:

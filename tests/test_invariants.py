@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -9,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_exactlin
 import oracle_kernel
 from kra import (
+    DiagramVertex,
     DiracPart,
+    EdgePair,
     FactorKind,
     FiniteAlgebra,
     GaussRational,
+    KrajewskiDiagram,
     NumericOperator,
     RepLabel,
     TermKind,
@@ -33,8 +39,11 @@ from kra import (
     required_counterterms,
 )
 from kra import invariants
+from kra.exactlin import span_rank
 from kra.graphs import proj_edge
 from kra.invariants import TraceSlot, _cycle_block, structure_display
+
+from test_dsl_oracle import _load_bench_inputs
 
 from conftest import (
     FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram, ring_diagram,
@@ -149,6 +158,94 @@ class TestBasisDimension:
         d = must_validate(builtin("chain"))
         fake = proj_edge(RepLabel(1), RepLabel(2))
         assert basis_dimension(fake, d) == 0
+
+
+def _count_span_rank(monkeypatch) -> list[int]:
+    """Count the calls of ``exactlin.span_rank``, rebound at every kra
+    module that holds it, as the stage counts of test_analysis_pass are."""
+    calls = [0]
+    original = span_rank
+
+    def counted(matrices):
+        calls[0] += 1
+        return original(matrices)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kra" and getattr(module, "span_rank", None) is original:
+            monkeypatch.setattr(module, "span_rank", counted)
+    return calls
+
+
+#: entries with small parts, zero about a third of the time
+_ENTRIES = st.one_of(
+    st.just(GaussRational.of(0)),
+    st.builds(GaussRational.of, st.fractions(-3, 3, max_denominator=4),
+              st.fractions(-3, 3, max_denominator=4)),
+)
+
+
+class TestOneMatrixOverAnEdge:
+    """A single matrix over a projected edge spans a line unless it is zero,
+    in either orientation, so basis_dimension answers without span_rank."""
+
+    @staticmethod
+    def _unvalidated(matrix, forward: bool):
+        """Two vertices in one row and an edge between them that carries
+        matrix, from the low column label to the high one when forward."""
+        rows, cols = len(matrix), len(matrix[0])
+        target, source = (1, 0) if forward else (0, 1)
+        sizes = {target: rows, source: cols}
+        algebra = FiniteAlgebra.of(*[(sizes[i], FactorKind.COMPLEX) for i in (0, 1)])
+        vertices = (
+            DiagramVertex("a", RepLabel(source), RepLabel(0), 1),
+            DiagramVertex("b", RepLabel(target), RepLabel(0), -1),
+        )
+        edges = (EdgePair("e", "a", "b", NumericOperator(matrix)),)
+        return KrajewskiDiagram(algebra, 0, vertices, edges)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_oracle_span_rank(self, rows, cols, forward, data):
+        matrix = tuple(
+            tuple(data.draw(_ENTRIES) for _ in range(cols)) for _ in range(rows)
+        )
+        d = self._unvalidated(matrix, forward)
+        oriented = matrix if forward else invariants._dagger(matrix)
+        assert basis_dimension(proj_edge(RepLabel(0), RepLabel(1)), d) == (
+            oracle_exactlin.span_rank([oriented])
+        )
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_a_zero_matrix_gives_zero(self, forward):
+        zero = GaussRational.of(0)
+        d = self._unvalidated(((zero, zero), (zero, zero), (zero, zero)), forward)
+        assert basis_dimension(proj_edge(RepLabel(0), RepLabel(1)), d) == 0
+
+    def test_span_rank_runs_only_for_two_or_more_matrices(self, monkeypatch):
+        calls = _count_span_rank(monkeypatch)
+        one, i = GaussRational.of(1), GaussRational.of(0, 1)
+        d, e = TestBasisDimension()._diagram_with_ops(NumericOperator(((one,), (i,))))
+        assert basis_dimension(e, d) == 1 and calls == [0]
+        d, e = TestBasisDimension()._diagram_with_ops(
+            NumericOperator(((one,), (i,))), NumericOperator(((i,), (-one,)))
+        )
+        assert basis_dimension(e, d) == 1 and calls == [1]
+
+    def test_span_rank_calls_on_numeric_designs(self, monkeypatch):
+        """One call per projected edge that carries two or more matrices,
+        over the numeric designs of the benchmark's corpus."""
+        rows = _load_bench_inputs().corpus(random.Random(11), 120)
+        numeric = [d for name, d, _expected in rows if name.endswith("n")]
+        calls = _count_span_rank(monkeypatch)
+        shared = single = 0
+        for d in numeric:
+            calls[0] = 0
+            enumerate_fields(d)
+            sizes = [len(over) for over in d.index.horizontal.values()]
+            assert calls[0] == sum(size > 1 for size in sizes)
+            shared += calls[0]
+            single += sizes.count(1)
+        assert len(numeric) >= 20 and shared and single > shared
 
 
 class TestCanonicalForms:
