@@ -43,14 +43,13 @@ _SUBMODULES = {
     "exactlin": ("GaussRational", "Matrix", "matrix_rank", "span_rank"),
     "graphs": (
         "Cycle", "ProjEdge", "ProjectedGraph", "LiftWitness", "proj_edge", "project",
-        "canonical_cycle", "cycle_display", "enumerate_cycles", "diagram_cycles", "cycle_pairs",
-        "lift_cycle", "lift_pair",
+        "canonical_cycle", "cycle_display", "enumerate_cycles", "diagram_cycles", "lift_cycle",
+        "lift_pair",
     ),
     "invariants": (
         "TermKind", "TraceSlot", "FieldComponent", "FieldInventory", "InvariantTerm",
         "CoverageReport", "enumerate_fields", "basis_dimension", "action_terms",
-        "required_counterterms", "counterterm_coverage", "canonical_block", "canonical_key",
-        "collapse_blocks", "structure_display",
+        "required_counterterms", "counterterm_coverage", "canonical_block", "structure_display",
     ),
     "powercount": (
         "GraphProfile", "ExpansionOrder", "HeatKernelCoefficients", "Verdict", "expansion_order",

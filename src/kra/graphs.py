@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -36,7 +35,6 @@ __all__ = [
     "cycle_display",
     "enumerate_cycles",
     "diagram_cycles",
-    "cycle_pairs",
     "lift_cycle",
     "lift_pair",
 ]
@@ -78,10 +76,6 @@ class ProjectedGraph:
     @property
     def non_loop_edges(self) -> tuple[ProjEdge, ...]:
         return tuple(e for e in self.edges if e[0] != e[1])
-
-    @property
-    def loops(self) -> tuple[ProjEdge, ...]:
-        return tuple(e for e in self.edges if e[0] == e[1])
 
     def neighbors(self, v: RepLabel) -> tuple[RepLabel, ...]:
         return self._neighbors.get(v, ())
@@ -161,17 +155,6 @@ def diagram_cycles(d: KrajewskiDiagram, max_len: int) -> tuple[Cycle, ...]:
     """``enumerate_cycles(project(d), max_len)``, enumerated once per
     diagram and bound."""
     return d.index.stage(("cycles", max_len), lambda: enumerate_cycles(project(d), max_len))
-
-
-def cycle_pairs(
-    cycles: tuple[Cycle, ...], total_len: int
-) -> tuple[tuple[Cycle, Cycle], ...]:
-    """Unordered pairs (with repetition) of total length up to total_len."""
-    return tuple(
-        (c1, c2)
-        for c1, c2 in combinations_with_replacement(cycles, 2)
-        if len(c1) + len(c2) <= total_len
-    )
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,8 @@ from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram, Symboli
 from .exactlin import GaussRational, span_rank
 from .graphs import (
     ProjEdge, cycle_display, diagram_cycles, edge_display, least_rotation, proj_edge, project,
-    walk_display as _walk_display,
 )
-from .rconnect import SHARED_TRIVIAL_VERTEX, pair_exemptions, shared_trivial_vertex
+from .rconnect import SHARED_TRIVIAL_VERTEX, pair_exemptions
 
 __all__ = [
     "TermKind",
@@ -69,8 +68,6 @@ __all__ = [
     "required_counterterms",
     "counterterm_coverage",
     "canonical_block",
-    "canonical_key",
-    "collapse_blocks",
     "structure_display",
 ]
 
@@ -134,44 +131,6 @@ def canonical_block(block: Block) -> Block:
     return least_rotation(tuple(block), dagger)
 
 
-def canonical_key(term: InvariantTerm):
-    return _built_key(term._replace(blocks=tuple(map(canonical_block, term.blocks))))
-
-
-def _built_key(term: InvariantTerm):
-    """``canonical_key`` of a term built in this module, whose blocks are
-    canonical already."""
-    if term.kind is TermKind.YANG_MILLS_F2:
-        return (term.kind.value, term.gauge_factor)
-    return (term.kind.value, tuple(sorted(term.blocks)))
-
-
-def _block_vertex_sequence(block: Block) -> tuple[RepLabel, ...]:
-    return tuple(slot.source for slot in block)
-
-
-def _rotate_to(block: Block, v: RepLabel) -> Block:
-    i = _block_vertex_sequence(block).index(v)
-    return block[i:] + block[:i]
-
-
-def collapse_blocks(b1: Block, b2: Block, algebra: FiniteAlgebra) -> Block | None:
-    """Merge a double trace into one at a shared trivial vertex, if any.
-
-    A trace over a one-dimensional complex representation is a plain number,
-    so two traces both passing through such a vertex multiply into a single
-    trace: rotate both to start there and concatenate.  Returns None when no
-    shared trivial vertex exists.
-    """
-    v = shared_trivial_vertex(_block_vertex_sequence(b1), _block_vertex_sequence(b2), algebra)
-    return None if v is None else _collapse_at(b1, b2, v)
-
-
-def _collapse_at(b1: Block, b2: Block, v: RepLabel) -> Block:
-    """The single trace of b1 and b2 joined at their shared vertex v."""
-    return canonical_block(_rotate_to(b1, v) + _rotate_to(b2, v))
-
-
 class StepCodes(NamedTuple):
     """Integer codes for directed label steps.  The step a -> b over the
     edge e = proj_edge(a, b) has code 2·r + [a == e[0]], where r is e's
@@ -207,12 +166,10 @@ def _diagram_step_codes(d: KrajewskiDiagram) -> StepCodes:
     ))
 
 
-def _cycle_block(labels: Sequence[RepLabel], codes: StepCodes | None = None) -> Block:
+def _cycle_block(labels: Sequence[RepLabel], codes: StepCodes) -> Block:
     """The canonical trace block of a closed Γ̃ label walk, one slot per step
     labels[i] -> labels[i + 1], cyclically, canonicalised as the steps'
-    ``codes`` (by default those of the walk's own steps)."""
-    if codes is None:
-        codes = _step_codes(zip(labels, labels[1:] + labels[:1]))
+    ``codes``, which must hold each step."""
     code, slot = codes
     if len(labels) == 2:  # an edge forth and back: its adjoint slot, then its forward one
         c = code[labels[0], labels[1]] & -2
@@ -301,11 +258,6 @@ def enumerate_fields(d: KrajewskiDiagram) -> FieldInventory:
 
 # ---------------------------------------------------------------------------
 # Generated action terms
-
-
-def _quartic_coefficient(edge_ids: tuple[str, ...]) -> tuple[str, tuple[tuple[str, str], ...]]:
-    factors = tuple([(eid, f"p{i}") for i, eid in enumerate(edge_ids, 1)])
-    return "prop. to " + " ".join([f"M_{eid}^{p}" for eid, p in factors]), factors
 
 
 def _gauge_and_edge_prefix(d: KrajewskiDiagram) -> tuple[tuple[InvariantTerm, ...], ...]:

@@ -18,6 +18,14 @@ there the pseudo-real structure of the quaternionic representation lets the
 paired invariant decompose into invariants already generated along single
 cycles, so no independent counterterm arises.
 
+Two readings are open (ROADMAP item 13): a pair exempt at a shared trivial
+vertex needs no lift here, yet ``invariants`` requires its collapsed trace;
+and ``lift_cycle`` lets vertical steps pad a lift, yet only a four-step walk
+generates a quartic.  The candidates: (a) that exemption also requires the
+collapsed figure-eight to lift; (b) at m = 4 a 4-cycle needs an unpadded
+lift; (c) R-connectedness stays as it is, and the verdict gains complete
+coverage as a third hypothesis.
+
 ``pair_exemptions`` decides each pair once per diagram and length bound;
 conditions 2 and 3 and the double-trace counterterms all read its table.
 A pair can be exempt only when its cycles share a label, and lift only when
@@ -43,7 +51,7 @@ from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .algebra import FactorKind, FiniteAlgebra, RepLabel
+from .algebra import FactorKind, RepLabel
 from .diagram import KrajewskiDiagram
 from .graphs import (
     Cycle,
@@ -73,18 +81,6 @@ class Exemption(NamedTuple):
 
 
 _NOT_EXEMPT = Exemption(False)
-
-
-def shared_trivial_vertex(
-    a: Iterable[RepLabel], b: Iterable[RepLabel], algebra: FiniteAlgebra
-) -> RepLabel | None:
-    """The least label in both a and b that carries a one-dimensional
-    complex representation ("1" or "1̄"), or None."""
-    for v in sorted(set(a) & set(b)):
-        factor = algebra.factors[v.factor_index]
-        if factor.kind is FactorKind.COMPLEX and factor.size == 1:
-            return v
-    return None
 
 
 def _factor_sets(d: KrajewskiDiagram) -> tuple[frozenset[int], frozenset[int]]:
@@ -123,8 +119,9 @@ class _Pairing(NamedTuple):
     """The pairs of cycles of total length up to a bound.  The cycles are
     sorted by length, so the partners j >= i of cycle i end at ``stops[i]``,
     before the first too long for it, and pair (i, j) is number
-    ``firsts[i] + j - i`` in the order of ``cycle_pairs``.  ``through`` maps
-    a label to the numbers of the cycles through it, ascending."""
+    ``firsts[i] + j - i`` of the pairs i <= j in lexicographic order of
+    cycle index.  ``through`` maps a label to the numbers of the cycles
+    through it, ascending."""
 
     cycles: tuple[Cycle, ...]
     stops: list[int]
@@ -160,11 +157,11 @@ def _pairing(d: KrajewskiDiagram, bound: int) -> _Pairing:
 
 
 def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cycle], Exemption]:
-    """The exemption of each pair of Γ̃-cycles of total length up to bound,
-    in the order of ``cycle_pairs``, decided once per diagram and bound.
-    Every pair starts not exempt, and only the pairs whose cycles share a
-    label, found through the label incidence, go to ``exemption_check``:
-    both clauses need a shared vertex."""
+    """The exemption of each pair (i, j), i <= j, of Γ̃-cycles of total
+    length up to bound, in lexicographic order of cycle index, decided once
+    per diagram and bound.  Every pair starts not exempt, and only the pairs
+    whose cycles share a label, found through the label incidence, go to
+    ``exemption_check``: both clauses need a shared vertex."""
 
     def decide():
         cycles, stops, firsts, _ = pairing = _pairing(d, bound)

@@ -48,6 +48,16 @@ def load_fixture(name: str) -> KrajewskiDiagram:
     return parse(fixture_text(name))
 
 
+#: oracle inputs kept apart from the fixtures, which the golden and corpus
+#: loops read: the two texts of ROADMAP item 13
+CASE_DIR = Path(__file__).parent / "cases"
+CASE_NAMES = ("four.kra", "six.kra")
+
+
+def load_case(name: str) -> KrajewskiDiagram:
+    return parse((CASE_DIR / name).read_text(encoding="utf-8"))
+
+
 def must_validate(d: KrajewskiDiagram) -> KrajewskiDiagram:
     report = validate(d)
     assert report.ok, [entry.details for entry in report.failures()]

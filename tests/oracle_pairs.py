@@ -1,38 +1,34 @@
-"""The pair stages as ``kra`` ran them before cycle labels and trace slots
-became tuples and before a pair that cannot meet was skipped, kept as the
-reference the fast stages are compared against.
+"""The pair stages from the definition, kept as the reference the fast
+stages are compared against.
 
-``exemption_check``, ``lift_pair``, ``_required_counterterms``,
-``_check_r_connected`` and ``counterterm_coverage`` are the earlier code
-word for word.  Here they resolve ``pair_exemptions``, ``lift_pair`` and
-``required_counterterms`` to this module, which decides and derives
-everything afresh on every call and stores nothing on the diagram.
-``lift_pair`` walks with the frozen kernel of ``oracle_kernel``, so a change
-to ``kra.graphs.closed_walks`` cannot move both sides of a comparison.  The
-helpers they share with ``kra`` (Γ̃, the cycle list, ``lift_cycle``, the
-action terms, block canonicalization) are not part of the fast path.
+``exemption_check``, ``pair_exemptions``, ``lift_pair``,
+``check_r_connected``, ``required_counterterms`` and
+``counterterm_coverage`` decide and derive everything afresh on every call
+and store nothing on the diagram.  Γ̃ and its cycles come from
+``oracle_cycles``, the generated terms, blocks, term keys and the F² and
+edge terms from ``oracle_walks``, and the pair lift walks with the frozen
+kernel of ``oracle_kernel``.  The pair list, the trivial-vertex test, the
+collapse at a shared trivial vertex and the displays are written here.
+
+One analysis of ``kra`` is used: ``kra.graphs.lift_cycle`` decides
+condition 1.  The exhaustive search of ``oracle_lift`` takes seconds on a
+grid of k = 4 and does not finish on k = 5, and ``test_lift_oracle``
+checks ``lift_cycle`` against it, witness for witness, where it can.
+
+The reading of the exemption encoded here is the one ``kra`` has, which
+the paper's definition may not share (ROADMAP item 13): a pair of cycles
+that shares a trivial vertex is excused from a lift in condition 2, but
+its collapsed single trace is still a required counterterm.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from kra.algebra import FactorKind
+from kra.algebra import FactorKind, FiniteAlgebra, RepLabel
 from kra.diagram import KrajewskiDiagram
-from kra.graphs import Cycle, LiftWitness, cycle_pairs, diagram_cycles, lift_cycle
-from kra.invariants import (
-    CoverageEntry,
-    CoverageReport,
-    InvariantTerm,
-    TermKind,
-    _built_key,
-    _collapse_at,
-    _cycle_block,
-    _gauge_and_edge_terms,
-    action_terms,
-    collapse_blocks,
-    cycle_display,
-)
+from kra.graphs import Cycle, LiftWitness, lift_cycle
+from kra.invariants import CoverageEntry, CoverageReport, InvariantTerm, TermKind
 from kra.rconnect import (
     QUATERNION_CONJUGATE_PAIR,
     SHARED_TRIVIAL_VERTEX,
@@ -40,10 +36,55 @@ from kra.rconnect import (
     Exemption,
     PairLift,
     RConnectReport,
-    shared_trivial_vertex,
 )
 
+from oracle_cycles import diagram_cycles
 from oracle_kernel import closed_walks
+from oracle_walks import (
+    action_terms, canonical_block, gauge_and_edge_terms, term_key, walk_block,
+)
+
+
+def cycle_pairs(cycles, total_len: int) -> tuple[tuple[Cycle, Cycle], ...]:
+    """Unordered pairs (with repetition) of total length up to total_len:
+    (c_i, c_j) with i <= j, in lexicographic order of (i, j)."""
+    return tuple((c1, c2) for c1, c2 in combinations_with_replacement(cycles, 2)
+                 if len(c1) + len(c2) <= total_len)
+
+
+def cycle_display(cycle: Cycle, algebra: FiniteAlgebra) -> str:
+    """Each step of the cycle as "(a b)", closing step included."""
+    labels = [v.display(algebra) for v in cycle]
+    return "".join(f"({a} {b})" for a, b in zip(labels, labels[1:] + labels[:1]))
+
+
+def shared_trivial_vertex(a, b, algebra: FiniteAlgebra) -> RepLabel | None:
+    """The least label in both a and b whose factor is C (complex, size 1),
+    or None."""
+    for v in sorted(set(a) & set(b)):
+        factor = algebra.factors[v.factor_index]
+        if factor.kind is FactorKind.COMPLEX and factor.size == 1:
+            return v
+    return None
+
+
+def _sources(block) -> list[RepLabel]:
+    """The label each slot of a block leaves from."""
+    return [s.edge[0] if s.forward else s.edge[1] for s in block]
+
+
+def collapse_at(b1, b2, v: RepLabel):
+    """The single trace of b1 and b2, each rotated to leave v first, joined."""
+    i, j = _sources(b1).index(v), _sources(b2).index(v)
+    return canonical_block(b1[i:] + b1[:i] + b2[j:] + b2[:j])
+
+
+def collapse_blocks(b1, b2, algebra: FiniteAlgebra):
+    """The single trace of a double trace at its least shared trivial
+    vertex, or None: a trace over a one-dimensional representation is a
+    number, so the two traces multiply into one there."""
+    v = shared_trivial_vertex(_sources(b1), _sources(b2), algebra)
+    return None if v is None else collapse_at(b1, b2, v)
 
 
 def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
@@ -94,10 +135,6 @@ def lift_pair(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> LiftWitness | None:
 def check_r_connected(
     d: KrajewskiDiagram, m: int, strict_bounds: bool = False
 ) -> RConnectReport:
-    return _check_r_connected(d, m, strict_bounds)
-
-
-def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RConnectReport:
     bound = m - 1 if strict_bounds else m
     cycles = diagram_cycles(d, bound) if bound >= 2 else ()
 
@@ -126,28 +163,21 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
 
 
 def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
-    return _required_counterterms(d)
-
-
-def _required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
     algebra = d.algebra
-    terms = list(_gauge_and_edge_terms(d)[1])
+    terms = gauge_and_edge_terms(d)[1]
 
     # (blocks, origin) of each quartic: the strict 4-cycles, then the pairs
     # of total length up to 4, which are all pairs of 2-cycles
     cycles = diagram_cycles(d, 4)
     quartics = [
-        ((_cycle_block(c),), f"4-cycle {cycle_display(c, algebra)}")
+        ((canonical_block(walk_block(c)),), f"4-cycle {cycle_display(c, algebra)}")
         for c in cycles if len(c) == 4
     ]
-    two_cycles = tuple(c for c in cycles if len(c) == 2)
-    block_of = {c: _cycle_block(c) for c in two_cycles}
-    shown = {c: cycle_display(c, algebra) for c in two_cycles}
     for (c1, c2), ex in pair_exemptions(d, 4).items():
-        b1, b2 = block_of[c1], block_of[c2]
-        origin = f"cycle pair {shown[c1]} + {shown[c2]}"
+        b1, b2 = canonical_block(walk_block(c1)), canonical_block(walk_block(c2))
+        origin = f"cycle pair {cycle_display(c1, algebra)} + {cycle_display(c2, algebra)}"
         if ex.clause == SHARED_TRIVIAL_VERTEX:
-            collapsed = _collapse_at(b1, b2, ex.vertex)
+            collapsed = collapse_at(b1, b2, ex.vertex)
             quartics.append(((collapsed,), f"{origin}, collapsed at the shared trivial vertex"))
         elif not ex.exempt:  # a quaternion-conjugate pair gives no term
             quartics.append((tuple(sorted((b1, b2))), origin))
@@ -158,12 +188,13 @@ def _required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
     unique: dict = {}
     for t in terms:
-        unique.setdefault(_built_key(t), t)
+        unique.setdefault(term_key(t), t)
     return tuple(unique.values())
 
 
-def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
-    """Match each required counterterm to a generated action term.
+def counterterm_coverage(d: KrajewskiDiagram, generated=None) -> CoverageReport:
+    """Match each required counterterm to a generated action term, the
+    first of ``generated`` (by default ``oracle_walks.action_terms(d)``).
 
     Matching is by canonical trace structure; a generated double trace that
     admits a collapse at a trivial vertex is indexed under both its double
@@ -171,14 +202,14 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
     """
     algebra = d.algebra
     index: dict = {}
-    for t in action_terms(d):
-        index.setdefault(_built_key(t), t)
+    for t in action_terms(d) if generated is None else generated:
+        index.setdefault(term_key(t), t)
         if t.kind is TermKind.QUARTIC and len(t.blocks) == 2:
             collapsed = collapse_blocks(t.blocks[0], t.blocks[1], algebra)
             if collapsed is not None:
                 index.setdefault((TermKind.QUARTIC.value, (collapsed,)), t)
     entries = tuple(
-        CoverageEntry(req, index.get(_built_key(req)))
+        CoverageEntry(req, index.get(term_key(req)))
         for req in required_counterterms(d)
     )
     return CoverageReport(entries)

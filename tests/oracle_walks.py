@@ -1,45 +1,125 @@
-"""The closed-walk enumeration ``kra.invariants`` used before the walk kernel
-of ``kra.graphs``, kept as the reference ``action_terms`` is compared against.
+"""The generated action terms from the definition, kept as the reference
+``action_terms`` is compared against.
 
-Every closed walk is enumerated from each of its vertices and in both
-directions, and the first walk with a given term is kept.  The kernel
-enumerates each walk from its least vertex only; both must give the same
-terms, in the same order, with the same origin and coefficient.
+The F² term of each simple gauge factor comes first, then a mass and a
+kinetic term per non-loop edge of Γ̃ (``oracle_cycles.project``), then the
+quartics.  Every closed walk of four steps is enumerated from each of its
+vertices and in both directions, and the first walk with a given term is
+kept: four horizontal steps give one trace along their columns, two
+horizontal and two vertical steps a product of two traces, the vertical
+steps read through their rows.  The product enumerates each walk from its
+least vertex only; both must give the same terms, in the same order, with
+the same origin and coefficient.
+
+The helpers are written here from their definitions: a block is canonical
+when it is the least of its rotations and of the rotations of its dagger,
+listed one by one, and a term is keyed by its kind and its sorted blocks
+(an F² term by its gauge factor).  ``oracle_pairs`` reads them too.
 """
 
 from __future__ import annotations
 
+from kra.algebra import FactorKind, FiniteAlgebra
 from kra.diagram import DiracPart, KrajewskiDiagram
-from kra.graphs import proj_edge
-from kra.invariants import (
-    Block,
-    InvariantTerm,
-    TermKind,
-    TraceSlot,
-    _gauge_and_edge_terms,
-    _quartic_coefficient,
-    _walk_display,
-    canonical_block,
-)
+from kra.invariants import InvariantTerm, TermKind, TraceSlot
+
+from oracle_cycles import edge, project
+
+#: the simple summand of M_k(F) and its dimension
+_SERIES = {
+    FactorKind.REAL: ("o", lambda k: k * (k - 1) // 2),
+    FactorKind.COMPLEX: ("su", lambda k: k * k - 1),
+    FactorKind.QUATERNION: ("sp", lambda k: k * (2 * k + 1)),
+}
 
 
-def _walk_slots(d: KrajewskiDiagram, walk_vertices: list[str], which: DiracPart,
-                parts: list[DiracPart]) -> Block:
+def canonical_block(block) -> tuple:
+    """The least of the rotations of ``block`` and of its dagger (the slots
+    reversed, each taken as its adjoint)."""
+    block = tuple(block)
+    dagger = tuple(TraceSlot(s.edge, not s.forward) for s in reversed(block))
+    return min(b[r:] + b[:r] for b in (block, dagger) for r in range(len(block)))
+
+
+def walk_block(labels) -> tuple:
+    """The trace slots of a closed label walk, one per step a -> b, in order:
+    the multiplet on {a, b}, as written when a is its low end."""
+    labels = tuple(labels)
+    return tuple(TraceSlot(edge(a, b), a <= b) for a, b in zip(labels, labels[1:] + labels[:1]))
+
+
+def term_key(term: InvariantTerm) -> tuple:
+    """The kind and trace structure of a term: its gauge factor for F², its
+    sorted blocks otherwise."""
+    if term.kind is TermKind.YANG_MILLS_F2:
+        return (term.kind.value, term.gauge_factor)
+    return (term.kind.value, tuple(sorted(term.blocks)))
+
+
+def edge_display(e, algebra: FiniteAlgebra) -> str:
+    return f"{{{e[0].display(algebra)},{e[1].display(algebra)}}}"
+
+
+def gauge_and_edge_terms(d: KrajewskiDiagram) -> tuple[list, list]:
+    """(generated, required): the F² term of each simple gauge factor, in
+    factor order, then a mass and a kinetic term per non-loop Γ̃ edge, in
+    edge order.  o(1) and su(1) are zero-dimensional and have no term."""
+    algebra = d.algebra
+    generated: list[InvariantTerm] = []
+    required: list[InvariantTerm] = []
+    simple = []
+    for f in algebra.factors:
+        name, dimension = _SERIES[f.kind]
+        if dimension(f.size) > 0:
+            simple.append((name, f.size))
+    for i, (name, k) in enumerate(simple):
+        factor = f"{name}({k})[{i}]"
+        generated.append(InvariantTerm(
+            TermKind.YANG_MILLS_F2, (), "-f(0)/(24*pi^2), common prefactor for every gauge factor",
+            "gauge sector", factor))
+        required.append(InvariantTerm(
+            TermKind.YANG_MILLS_F2, (), "independent coefficient per gauge factor",
+            "gauge sector", factor))
+    vertices = {v.id: v for v in d.vertices}
+    for e in project(d).edges:
+        if e[0] == e[1]:
+            continue
+        shown = edge_display(e, algebra)
+        # the horizontal edge pairs over e: same row, columns {lo, hi}
+        over = ", ".join(sorted(
+            p.id for p in d.edges
+            if p.source in vertices and p.target in vertices
+            and vertices[p.source].row == vertices[p.target].row
+            and edge(vertices[p.source].col, vertices[p.target].col) == e
+        ))
+        blocks = (canonical_block(walk_block(e)),)
+        for out, coefficient, origin in (
+            (generated, f"prop. to sum_p |M_e^p|^2, e in {{{over}}}",
+             f"back-and-forth walks over {shown}"),
+            (required, "independent coefficient c(p1, p2) per basis pair",
+             f"degree-2 invariant on {shown}"),
+        ):
+            out.append(InvariantTerm(TermKind.SCALAR_MASS, blocks, coefficient, origin))
+            out.append(InvariantTerm(TermKind.SCALAR_KINETIC, blocks, coefficient, origin))
+    return generated, required
+
+
+def _walk_slots(d: KrajewskiDiagram, walk_vertices: tuple, which: DiracPart,
+                parts: tuple) -> tuple:
     """Trace slots for the steps of the given part, in walk order.
 
-    Horizontal steps are read through the column projection, vertical steps
+    Horizontal steps are read through the column labels, vertical steps
     through the row labels (the reflection j turns them horizontal).
     """
+    vertices = d.index.vertices
     slots = []
     n = len(parts)
     for i in range(n):
         if parts[i] is not which:
             continue
-        u = d.vertex(walk_vertices[i])
-        w = d.vertex(walk_vertices[(i + 1) % n])
+        u, w = vertices[walk_vertices[i]], vertices[walk_vertices[(i + 1) % n]]
         a, b = (u.col, w.col) if which is DiracPart.DELTA else (u.row, w.row)
-        edge = proj_edge(a, b)
-        slots.append(TraceSlot(edge, a == edge[0]))
+        slots.append(TraceSlot(edge(a, b), a <= b))
     return tuple(slots)
 
 
@@ -81,44 +161,22 @@ def _extend_walks(steps, path: list[str], edges: list[str], parts: list[DiracPar
 
 
 def action_terms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
-    terms = list(_gauge_and_edge_terms(d)[0])
-
+    terms = gauge_and_edge_terms(d)[0]
     seen: set = set()
-    for vertices, edge_ids, parts in _closed_field_walks(d, 4, 0):
-        block = _walk_slots(d, list(vertices), DiracPart.DELTA, list(parts))
-        term_blocks = (canonical_block(block),)
-        key = (TermKind.QUARTIC.value, term_blocks)
-        if key in seen:
-            continue
-        seen.add(key)
-        coeff, factors = _quartic_coefficient(edge_ids)
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.QUARTIC,
-                blocks=term_blocks,
-                coefficient=coeff,
-                origin=f"walk {_walk_display(vertices)}",
+    for name, n_h, n_v in (("walk", 4, 0), ("mixed walk", 2, 2)):
+        for vertices, edge_ids, parts in _closed_field_walks(d, n_h, n_v):
+            blocks = [canonical_block(_walk_slots(d, vertices, DiracPart.DELTA, parts))]
+            if n_v:
+                blocks.append(canonical_block(_walk_slots(d, vertices, DiracPart.J_DELTA_J, parts)))
+            term_blocks = tuple(sorted(blocks))
+            if term_blocks in seen:
+                continue
+            seen.add(term_blocks)
+            factors = tuple((eid, f"p{i}") for i, eid in enumerate(edge_ids, 1))
+            terms.append(InvariantTerm(
+                TermKind.QUARTIC, term_blocks,
+                "prop. to " + " ".join(f"M_{eid}^{p}" for eid, p in factors),
+                f"{name} " + " -> ".join(vertices + vertices[:1]),
                 coefficient_factors=factors,
-            )
-        )
-
-    for vertices, edge_ids, parts in _closed_field_walks(d, 2, 2):
-        h_block = _walk_slots(d, list(vertices), DiracPart.DELTA, list(parts))
-        v_block = _walk_slots(d, list(vertices), DiracPart.J_DELTA_J, list(parts))
-        term_blocks = tuple(sorted((canonical_block(h_block), canonical_block(v_block))))
-        key = (TermKind.QUARTIC.value, term_blocks)
-        if key in seen:
-            continue
-        seen.add(key)
-        coeff, factors = _quartic_coefficient(edge_ids)
-        terms.append(
-            InvariantTerm(
-                kind=TermKind.QUARTIC,
-                blocks=term_blocks,
-                coefficient=coeff,
-                origin=f"mixed walk {_walk_display(vertices)}",
-                coefficient_factors=factors,
-            )
-        )
-
+            ))
     return tuple(terms)

@@ -38,9 +38,16 @@ def random_valid_diagram(rng: random.Random) -> KrajewskiDiagram | None:
     n = rng.randint(3, 6)
     trivial = rng.random() < 0.4
     sizes = [1] * trivial + [rng.choice((2, 3)) for _ in range(n - trivial)]
-    algebra = FiniteAlgebra.of(*[(size, FactorKind.COMPLEX) for size in sizes])
     # (a, b, r): the horizontal edge (a, r) - (b, r), drawn with a != b
     drawn = [(*rng.sample(range(n), 2), rng.randrange(n)) for _ in range(rng.randint(3, 9))]
+    return mirrored_diagram(sizes, drawn)
+
+
+def mirrored_diagram(sizes, drawn) -> KrajewskiDiagram | None:
+    """The validated diagram over complex factors of the given sizes whose
+    horizontal edges are ``drawn``, as (a, b, r) for (a, r) - (b, r), each
+    with its j-mirror; None if it cannot be coloured or does not validate."""
+    algebra = FiniteAlgebra.of(*[(size, FactorKind.COMPLEX) for size in sizes])
     steps = []  # (edge id, source cell, target cell), each (column, row)
     for i, (a, b, r) in enumerate(drawn):
         steps.append((f"h{i}", (a, r), (b, r)))

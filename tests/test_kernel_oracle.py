@@ -14,8 +14,9 @@ from __future__ import annotations
 import pytest
 
 import oracle_kernel
-from kra import LiftWitness, cycle_pairs, diagram_cycles
+from kra import LiftWitness, diagram_cycles
 from kra.graphs import _first_walk
+from oracle_pairs import cycle_pairs
 
 from conftest import FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram
 from test_lift_oracle import _relabelled

@@ -27,7 +27,6 @@ from kra import (
     SymbolicOperator,
     builtin,
     check_r_connected,
-    cycle_pairs,
     diagram_cycles,
     enumerate_cycles,
     lift_cycle,
@@ -35,6 +34,8 @@ from kra import (
     project,
 )
 from kra.invariants import _cycle_block, _diagram_step_codes
+
+from oracle_pairs import cycle_pairs
 
 from conftest import (
     grid_diagram,

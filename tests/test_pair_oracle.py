@@ -1,11 +1,10 @@
-"""The pair stages against the code they replaced.
+"""The pair stages against their oracle.
 
-``oracle_pairs`` holds the exemption decision, the pair lift search, the
-required counterterms, coverage and R-connectedness as they were before
-labels and trace slots became tuples, a pair that cannot meet was skipped
-and each required term was keyed once.  Every result must have the same
-``repr``: terms, origins, order, exemptions and witnesses alike.  The oracle
-runs on a copy of the diagram, so it reads nothing the fast stages stored.
+``oracle_pairs`` derives the exemption decision, the pair lift search, the
+required counterterms, coverage and R-connectedness from the definition.
+Every result must have the same ``repr``: terms, origins, order, exemptions
+and witnesses alike.  The oracle runs on a copy of the diagram, so it reads
+nothing the fast stages stored.
 """
 
 from __future__ import annotations
@@ -30,11 +29,13 @@ from kra import (
     diagram_cycles,
     graphs,
     lift_pair,
+    renorm_verdict,
     required_counterterms,
 )
 
 from conftest import (
-    FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram, ring_diagram,
+    CASE_NAMES, FIXTURE_NAMES, grid_diagram, load_case, load_fixture, must_validate,
+    path_diagram, ring_diagram,
 )
 from test_lift_oracle import _relabelled
 
@@ -57,6 +58,7 @@ def _family_diagrams():
         ("path10-relabelled", _relabelled(path_diagram(10), 8)),
     ]
     rows += [(name, load_fixture(name)) for name in FIXTURE_NAMES]
+    rows += [(name, load_case(name)) for name in CASE_NAMES]
     return [(name, must_validate(d)) for name, d in rows]
 
 
@@ -137,3 +139,23 @@ def test_cells_off_the_mirror():
     _assert_same_pair_stages(d)
     lifted = [p.pair for p in check_r_connected(d, 4).cond2 if p.status == "lifted"]
     assert lifted == [((RepLabel(0), RepLabel(1)), (RepLabel(2), RepLabel(3)))]
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_the_item_13_cases_miss_one_collapsed_pair_term(name):
+    """On each text of ROADMAP item 13 every pair of 2-cycles shares the
+    trivial label, so condition 2 exempts it and the diagram is R-connected,
+    yet the collapsed single trace of one pair is required and no four-step
+    walk generates it."""
+    d = must_validate(load_case(name))
+    assert oracle_pairs.check_r_connected(replace(d), 4).verdict
+    missing = oracle_pairs.counterterm_coverage(replace(d)).missing
+    assert len(missing) == 1
+    assert missing[0].origin.endswith(", collapsed at the shared trivial vertex")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the verdict does not read coverage")
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_a_renormalizable_verdict_has_complete_coverage(name):
+    d = must_validate(load_case(name))
+    assert renorm_verdict(d, 4).verdict != "Renormalizable" or counterterm_coverage(d).complete
