@@ -154,10 +154,6 @@ class KrajewskiDiagram:
     def vertex(self, vid: str) -> DiagramVertex:
         return self.index.vertices[vid]
 
-    @property
-    def signs(self) -> KOSigns:
-        return ko_signs(self.kodim)
-
 
 class DiracPart(enum.Enum):
     """Which summand of the Dirac operator an edge belongs to.

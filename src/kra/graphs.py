@@ -77,9 +77,6 @@ class ProjectedGraph:
     def non_loop_edges(self) -> tuple[ProjEdge, ...]:
         return tuple(e for e in self.edges if e[0] != e[1])
 
-    def neighbors(self, v: RepLabel) -> tuple[RepLabel, ...]:
-        return self._neighbors.get(v, ())
-
 
 def project(d: KrajewskiDiagram) -> ProjectedGraph:
     """Γ̃ together with the edge projection ψ, built once per diagram.  An

@@ -18,8 +18,9 @@ invariants per edge, single traces along strict 4-cycles, and double traces
 along pairs of 2-cycles — except that a pair sharing a trivial
 (one-dimensional complex) vertex collapses to a single trace, and a pair
 meeting only at a quaternionic vertex with conjugate far endpoints
-decomposes into already-generated invariants and is dropped.  Which case a
-pair is comes from ``rconnect.pair_exemptions``, as for R-connectedness.
+decomposes into already-generated invariants and is dropped.  The pairs,
+their numbers and which case each is come from the pairing of
+``rconnect``, as for R-connectedness.
 
 Coverage matches required terms against generated ones by canonical trace
 structure only; coefficients are ignored, since the generated coefficients
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from itertools import combinations_with_replacement, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -51,9 +52,9 @@ from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
 from .graphs import (
-    ProjEdge, cycle_display, diagram_cycles, edge_display, least_rotation, proj_edge, project,
+    ProjEdge, cycle_display, edge_display, least_rotation, proj_edge, project,
 )
-from .rconnect import SHARED_TRIVIAL_VERTEX, pair_exemptions
+from .rconnect import SHARED_TRIVIAL_VERTEX, _pairing
 
 __all__ = [
     "TermKind",
@@ -407,8 +408,8 @@ def required_counterterms(d: KrajewskiDiagram) -> tuple[InvariantTerm, ...]:
 
 def _required(d: KrajewskiDiagram) -> tuple:
     """(the required counterterms, code key -> position of each single-trace
-    quartic, by pair number i·k − i(i − 1)/2 + j − i the position of the term
-    of 2-cycles i <= j of k: their double trace, their collapsed single trace
+    quartic, by number in ``_pairing(d, 4)`` the position of the term of
+    each pair of 2-cycles: their double trace, their collapsed single trace
     if exempt at a shared trivial vertex, else None, and even code -> number
     of each 2-cycle in ``diagram_cycles`` order), derived once per diagram."""
     return d.index.stage("required_counterterms", lambda: _required_counterterms(d))
@@ -432,22 +433,22 @@ def _required_counterterms(d: KrajewskiDiagram):
         return at
 
     # the strict 4-cycles, then the pairs of total length up to 4, which are
-    # all pairs of 2-cycles, in the order of combinations_with_replacement
-    cycles = diagram_cycles(d, 4)
+    # all pairs of 2-cycles, by pair number
+    pairing = _pairing(d, 4)
+    cycles = pairing.cycles
     for c in cycles:
         if len(c) == 4:
             keep(tuple([code[step] for step in zip(c, c[1:] + c[:1])]),
                  f"4-cycle {cycle_display(c, algebra)}")
-    twos = [c for c in cycles if len(c) == 2]
+    twos = [c for c in cycles if len(c) == 2]  # the first cycles: they sort by length
     # a 2-cycle (lo, hi) by the even code of its edge: the step hi -> lo,
     # and lo -> hi is the next code; one block per 2-cycle, shared by its pairs
     evens = [code[c] & -2 for c in twos]
     blocks = [slot[c:c + 2] for c in evens]
     shown = [cycle_display(c, algebra) for c in twos]
     opened = [f"cycle pair {s} + " for s in shown]
-    pairs: list = []  # by pair number, in the order of the exemption table
-    for (i, j), ex in zip(combinations_with_replacement(range(len(twos)), 2),
-                          pair_exemptions(d, 4).values()):
+    pairs: list = []  # by pair number
+    for (i, j), ex in zip(pairing.pairs(range(len(twos))), pairing.exemptions):
         if not ex.exempt:
             # 2-cycle blocks sort as their cycles do, so (b_i, b_j) is
             # sorted; every other quartic has one block
@@ -495,7 +496,7 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
     required = required_counterterms(d)  # the public stages, as a tracer counts them
     generated = action_terms(d)
     _, position, pairs, number = _required(d)
-    k = len(number)
+    firsts = _pairing(d, 4).firsts
     keys = _generated(d)[1]
     n = len(generated) - len(keys)
     matched: list[InvariantTerm | None] = [*generated[:n], *repeat(None, len(required) - n)]
@@ -504,7 +505,7 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
             # a mixed walk's two sorted 2-slot blocks, so i <= j; a row edge
             # that is no Γ̃ edge has no number and matches nothing
             i, j = number.get(key[0][0]), number.get(key[1][0])
-            at = None if i is None or j is None else pairs[i * k - i * (i - 1) // 2 + j - i]
+            at = None if i is None or j is None else pairs[firsts[i] + j - i]
         else:
             at = position.get(key)
         if at is not None and matched[at] is None:

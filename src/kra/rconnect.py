@@ -26,12 +26,13 @@ collapsed figure-eight to lift; (b) at m = 4 a 4-cycle needs an unpadded
 lift; (c) R-connectedness stays as it is, and the verdict gains complete
 coverage as a third hypothesis.
 
-``pair_exemptions`` decides each pair once per diagram and length bound;
-conditions 2 and 3 and the double-trace counterterms all read its table.
-A pair can be exempt only when its cycles share a label, and lift only when
-they meet in an occupied cell (a column of one holding a row of the other).
-A label -> cycles incidence, built once per cycle list, finds those pairs
-for ``exemption_check`` and ``lift_pair``; all others are built in bulk.
+``_Pairing`` numbers and enumerates the pairs of cycles within a length
+bound and decides each pair's exemption, once per diagram and bound;
+conditions 2 and 3 and the double-trace counterterms all read it.  A pair
+can be exempt only when its cycles share a label, and lift only when they
+meet in an occupied cell (a column of one holding a row of the other).  A
+label -> cycles incidence, built once per cycle list, finds those pairs for
+``exemption_check`` and ``lift_pair``; all others are built in bulk.
 
 By default the length bounds are inclusive (≤ m), which is the reading the
 worked examples require; ``strict_bounds`` switches to the literal "< m".
@@ -48,8 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain, repeat
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import FactorKind, RepLabel
 from .diagram import KrajewskiDiagram
@@ -116,17 +116,26 @@ def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
 
 
 class _Pairing(NamedTuple):
-    """The pairs of cycles of total length up to a bound.  The cycles are
-    sorted by length, so the partners j >= i of cycle i end at ``stops[i]``,
-    before the first too long for it, and pair (i, j) is number
-    ``firsts[i] + j - i`` of the pairs i <= j in lexicographic order of
-    cycle index.  ``through`` maps a label to the numbers of the cycles
-    through it, ascending."""
+    """The pairs of cycles of total length up to a bound and the exemption
+    of each.  The cycles are sorted by length, so the partners j >= i of
+    cycle i end at ``stops[i]``, before the first too long for it, and pair
+    (i, j) is number ``firsts[i] + j - i`` of the pairs i <= j in
+    lexicographic order of cycle index.  ``exemptions`` holds each pair's
+    ``Exemption`` by that number.  ``through`` maps a label to the numbers
+    of the cycles through it, ascending."""
 
     cycles: tuple[Cycle, ...]
     stops: list[int]
     firsts: list[int]
     through: dict[RepLabel, list[int]]
+    exemptions: tuple[Exemption, ...]
+
+    def pairs(self, items: Sequence) -> Iterator[tuple]:
+        """(items[i], items[j]) for each pair (i, j) in order of number, for
+        a sequence indexed as the cycles are: the cycles themselves, or
+        ``range(len(cycles))`` for the index pairs."""
+        return chain.from_iterable(zip(repeat(x), items[i:stop])
+                                   for i, (x, stop) in enumerate(zip(items, self.stops)))
 
     def meeting(self, labels_of: Iterable[Iterable[RepLabel]]) -> list[tuple[int, int]]:
         """The pairs (i, j) within the bound, in order, such that cycle j
@@ -140,7 +149,10 @@ class _Pairing(NamedTuple):
 
 def _pairing(d: KrajewskiDiagram, bound: int) -> _Pairing:
     """The pairing of ``diagram_cycles(d, bound)``, bound >= 2, built once
-    per diagram and bound for the exemption table and condition 2."""
+    per diagram and bound for conditions 2 and 3 and the double-trace
+    counterterms.  Every pair starts not exempt, and only the pairs whose
+    cycles share a label, found through the label incidence, go to
+    ``exemption_check``: both clauses need a shared vertex."""
 
     def build():
         cycles = diagram_cycles(d, bound)
@@ -151,28 +163,13 @@ def _pairing(d: KrajewskiDiagram, bound: int) -> _Pairing:
             firsts.append(firsts[i] + max(stops[i] - i, 0))
             for v in c:
                 through.setdefault(v, []).append(i)
-        return _Pairing(cycles, stops, firsts, through)
-
-    return d.index.stage(("pairing", bound), build)
-
-
-def pair_exemptions(d: KrajewskiDiagram, bound: int) -> Mapping[tuple[Cycle, Cycle], Exemption]:
-    """The exemption of each pair (i, j), i <= j, of Γ̃-cycles of total
-    length up to bound, in lexicographic order of cycle index, decided once
-    per diagram and bound.  Every pair starts not exempt, and only the pairs
-    whose cycles share a label, found through the label incidence, go to
-    ``exemption_check``: both clauses need a shared vertex."""
-
-    def decide():
-        cycles, stops, firsts, _ = pairing = _pairing(d, bound)
+        pairing = _Pairing(cycles, stops, firsts, through, ())
         decided = [_NOT_EXEMPT] * firsts[-1]
         for i, j in pairing.meeting(cycles):
             decided[firsts[i] + j - i] = exemption_check(cycles[i], cycles[j], d)
-        return MappingProxyType(dict(zip(chain.from_iterable(
-            zip(repeat(c), cycles[i:stop]) for i, (c, stop) in enumerate(zip(cycles, stops))
-        ), decided)))
+        return pairing._replace(exemptions=tuple(decided))
 
-    return d.index.stage(("exemptions", bound), decide)
+    return d.index.stage(("pairing", bound), build)
 
 
 class CycleLift(NamedTuple):
@@ -239,8 +236,7 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
 
     cond1 = tuple(CycleLift(c, lift_cycle(c, d)) for c in cycles)
 
-    exemptions = pair_exemptions(d, bound)
-    decided = list(exemptions.values())
+    exemptions = pairing.exemptions
     # the rows the columns of each cycle hold: lift_pair(c1, c2, d) starts a
     # walk only in a cell (column of c1, row of c2), so it finds none when
     # this set for c1 misses c2.  Only the pairs where one set meets the
@@ -248,45 +244,39 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
     columns, vertices = d.index.columns, d.index.vertices
     reach = [frozenset(vertices[vid].row for col in c for vid in columns.get(col, ()))
              for c in cycles]
-    witnesses = [None] * len(decided)
+    witnesses = [None] * len(exemptions)
     for i, j in pairing.meeting(reach):
         at = pairing.firsts[i] + j - i
-        if not decided[at].exempt:
+        if not exemptions[at].exempt:
             c1, c2 = cycles[i], cycles[j]
             witness = lift_pair(c1, c2, d) if not reach[i].isdisjoint(c2) else None
             if witness is None and not reach[j].isdisjoint(c1):
                 witness = lift_pair(c2, c1, d)
             witnesses[at] = witness
-    cond2 = tuple(map(tuple.__new__, repeat(PairLift), zip(exemptions, decided, witnesses)))
+    cond2 = tuple(map(tuple.__new__, repeat(PairLift),
+                      zip(pairing.pairs(cycles), exemptions, witnesses)))
 
-    cond3 = _condition_three(pairing, decided, bound)
+    cond3 = _condition_three(pairing, bound)
     return RConnectReport(m, strict_bounds, cond1, cond2, cond3)
 
 
-def _condition_three(
-    pairing: _Pairing, decided: list[Exemption], bound: int
-) -> tuple[tuple[Cycle, ...], ...]:
+def _condition_three(pairing: _Pairing, bound: int) -> tuple[tuple[Cycle, ...], ...]:
     """The tuples of three or more cycles, of total length at most bound,
-    with a pair that is not exempt: by size, each size in the order of
-    ``combinations_with_replacement(cycles, r)``.
+    with a pair that is not exempt: by size, each size in lexicographic
+    order of its nondecreasing tuples of cycle index.
 
-    One depth-first walk over the nondecreasing index tuples visits each
-    tuple once, after its prefix, so that the tuples of each size come in
-    that order.  Each pair in a tuple has total length at most bound - 2,
-    so the table holds it.  A member is checked when it is added: against
-    each distinct member before it, or against itself on a repeat.  Cycles
-    are sorted by length, so a prefix stops growing at the first cycle that
-    does not fit."""
+    One depth-first walk over those index tuples visits each tuple once,
+    after its prefix, so that the tuples of each size come in that order.
+    Each pair in a tuple has total length at most bound - 2, so it is within
+    the bound and its number indexes the exemptions.  A member is checked
+    when it is added: against each distinct member before it, or against
+    itself on a repeat.  Cycles are sorted by length, so a prefix stops
+    growing at the first cycle that does not fit."""
     if bound < 6:
         return ()  # three cycles have total length at least 6
-    if all(ex.exempt for ex in decided):
+    cycles, _, firsts, _, exemptions = pairing
+    if all(ex.exempt for ex in exemptions):
         return ()  # no tuple holds a pair that is not exempt
-    cycles = pairing.cycles
-    pairs = ((i, j) for i, stop in enumerate(pairing.stops) for j in range(i, stop))
-    exempt_with: list[set[int]] = [set() for _ in cycles]  # i -> the j >= i it is exempt with
-    for (i, j), ex in zip(pairs, decided):
-        if ex.exempt:
-            exempt_with[i].add(j)
     lengths = [len(c) for c in cycles]
     found: dict[int, list[tuple[Cycle, ...]]] = {}  # size -> the tuples of that size
     members: list[int] = []  # the tuple, as indices into cycles
@@ -300,8 +290,8 @@ def _condition_three(
         if nxt < len(cycles) and size + lengths[nxt] <= bound:
             repeated = bool(members) and members[-1] == nxt
             if ok:
-                ok = nxt in exempt_with[nxt] if repeated else all(
-                    nxt in exempt_with[i] for i in distinct
+                ok = exemptions[firsts[nxt]].exempt if repeated else all(
+                    exemptions[firsts[i] + nxt - i].exempt for i in distinct
                 )
             members.append(nxt)
             if not repeated:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import kra
 from kra import (
     DiagramVertex,
     DiracPart,
@@ -67,6 +68,22 @@ def must_validate(d: KrajewskiDiagram) -> KrajewskiDiagram:
 
 # ---------------------------------------------------------------------------
 # Hand-built synthetic diagram: a genuine square lift
+
+
+def assert_undone_counting_leaves_the_exports(count, monkeypatch) -> None:
+    """Install the counters of ``count(monkeypatch)`` and undo them, with no
+    export resolved on the package beforehand, then check that every export
+    of ``kra`` is its submodule's object again.  The package resolves an
+    export on its first read and keeps it, so a helper that read the
+    package while a submodule held a counter would leave the counter there."""
+    for names in kra._SUBMODULES.values():
+        for name in names:
+            vars(kra).pop(name, None)  # resolved again on the next read
+    with monkeypatch.context() as patch:
+        count(patch)
+    for module, names in kra._SUBMODULES.items():
+        for name in names:
+            assert getattr(kra, name) is vars(getattr(kra, module))[name], name
 
 
 def square_diagram() -> KrajewskiDiagram:

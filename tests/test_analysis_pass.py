@@ -32,7 +32,7 @@ from kra import (
     rconnect,
 )
 
-from conftest import must_validate, path_diagram
+from conftest import assert_undone_counting_leaves_the_exports, must_validate, path_diagram
 
 ANALYSIS = Path(__file__).resolve().parent.parent / "bench" / "analysis.py"
 
@@ -72,7 +72,9 @@ def _count_calls(monkeypatch) -> Counter:
             return _original(*args, **kwargs)
 
         for holder in kra_modules:
-            if getattr(holder, attr, None) is original:
+            # the holder's own namespace, not getattr, which on the package
+            # would cache a counter already set on a submodule past the undo
+            if vars(holder).get(attr) is original:
                 monkeypatch.setattr(holder, attr, counted)
     return calls
 
@@ -104,6 +106,10 @@ def test_each_stage_runs_once_per_analysis(build, monkeypatch):
         # of them on path n
         "exemption_check": sum(not set(c1).isdisjoint(c2) for c1, c2 in pairs),
     }
+
+
+def test_counting_calls_leaves_every_export_as_its_submodule_has_it(monkeypatch):
+    assert_undone_counting_leaves_the_exports(_count_calls, monkeypatch)
 
 
 def test_projection_dies_with_its_diagram():

@@ -45,8 +45,8 @@ from oracle_walks import term_key
 from test_dsl_oracle import _load_bench_inputs
 
 from conftest import (
-    FIXTURE_NAMES, grid_diagram, load_fixture, must_validate, path_diagram, ring_diagram,
-    square_diagram,
+    FIXTURE_NAMES, assert_undone_counting_leaves_the_exports, grid_diagram, load_fixture,
+    must_validate, path_diagram, ring_diagram, square_diagram,
 )
 
 
@@ -169,8 +169,11 @@ def _count_span_rank(monkeypatch) -> list[int]:
         calls[0] += 1
         return original(matrices)
 
+    # read each module's own namespace: a read through getattr would run the
+    # package's lazy __getattr__, which caches whatever a submodule holds
+    # then (the counter, once a submodule is patched) and outlives the undo
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "kra" and getattr(module, "span_rank", None) is original:
+        if name.split(".")[0] == "kra" and vars(module).get("span_rank") is original:
             monkeypatch.setattr(module, "span_rank", counted)
     return calls
 
@@ -229,6 +232,9 @@ class TestOneMatrixOverAnEdge:
             NumericOperator(((one,), (i,))), NumericOperator(((i,), (-one,)))
         )
         assert basis_dimension(e, d) == 1 and calls == [1]
+
+    def test_counting_span_rank_leaves_every_export_as_its_submodule_has_it(self, monkeypatch):
+        assert_undone_counting_leaves_the_exports(_count_span_rank, monkeypatch)
 
     def test_span_rank_calls_on_numeric_designs(self, monkeypatch):
         """One call per projected edge that carries two or more matrices,

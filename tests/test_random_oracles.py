@@ -8,7 +8,8 @@ lists every such diagram of three labels and up to five edge pairs, once
 per class under relabelling.  On each, the action terms must have the
 ``repr`` of ``oracle_walks``, and the required terms, coverage and
 ``check_r_connected(·, 4)`` that of ``oracle_pairs``, each oracle run on a
-copy with a fresh index.
+copy with a fresh index; on the census, so must ``check_r_connected`` at
+m = 6 and 8, where condition 3 is not vacuous.
 """
 
 from __future__ import annotations
@@ -58,8 +59,17 @@ def test_stages_give_the_oracle_results(seed):
 
 
 def test_stages_give_the_oracle_results_on_the_census():
+    """Also ``check_r_connected`` at m = 6 and 8, where condition 3 lists
+    tuples of three and four cycles: most of those reports list some."""
+    offending = 0
     for _key, d in census(3, 5):
         _assert_stages_give_the_oracle_results(d)
+        copy = replace(d)
+        for m in (6, 8):
+            report = check_r_connected(d, m)
+            assert repr(report) == repr(oracle_pairs.check_r_connected(copy, m)), m
+            offending += bool(report.cond3)
+    assert offending > 500, offending
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -23,7 +23,7 @@ from kra import (
 )
 from kra import rconnect
 from kra.invariants import _cycle_block, _diagram_step_codes
-from kra.rconnect import pair_exemptions
+from kra.rconnect import _pairing
 from oracle_pairs import collapse_at, collapse_blocks, cycle_pairs
 
 from conftest import (
@@ -99,12 +99,15 @@ class TestExemptions:
 
 
 def _assert_table_agrees(d) -> None:
-    """The pair table keys every cycle pair in order, holds its exemption,
-    and names the shared trivial vertex exactly where the blocks collapse."""
-    table = pair_exemptions(d, 4)
-    assert tuple(table) == cycle_pairs(diagram_cycles(d, 4), 4)
+    """The pairing lists every cycle pair in order, holds its exemption by
+    pair number, and names the shared trivial vertex exactly where the
+    blocks collapse."""
+    pairing = _pairing(d, 4)
+    pairs = tuple(pairing.pairs(pairing.cycles))
+    assert pairs == cycle_pairs(diagram_cycles(d, 4), 4)
+    assert len(pairing.exemptions) == len(pairs) == pairing.firsts[-1]
     codes = _diagram_step_codes(d)
-    for (c1, c2), ex in table.items():
+    for (c1, c2), ex in zip(pairs, pairing.exemptions):
         assert ex == exemption_check(c1, c2, d)
         b1, b2 = _cycle_block(c1, codes), _cycle_block(c2, codes)
         collapsed = collapse_blocks(b1, b2, d.algebra)
@@ -133,10 +136,12 @@ class TestPairTable:
 
     def test_table_is_stored_and_read_only(self):
         d = must_validate(builtin("chain"))
-        table = pair_exemptions(d, 4)
-        assert pair_exemptions(d, 4) is table
+        pairing = _pairing(d, 4)
+        assert _pairing(d, 4) is pairing
         with pytest.raises(TypeError):
-            table[next(iter(table))] = None
+            pairing.exemptions[0] = None
+        with pytest.raises(AttributeError):
+            pairing.exemptions = ()
 
 
 class TestVerdicts:
