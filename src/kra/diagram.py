@@ -130,9 +130,6 @@ class EdgePair:
     target: str
     operator: OperatorSpec
 
-    def endpoints(self) -> frozenset[str]:
-        return frozenset((self.source, self.target))
-
 
 @dataclass(frozen=True, slots=True)
 class KrajewskiDiagram:
@@ -411,10 +408,11 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
     )
 
     # First-order condition: every edge runs horizontally or vertically.
+    # The structure check passed, so every edge is known, in d.edges order.
     diagonal = [
         f"edge {edge.id} connects ({edge.source}) and ({edge.target})"
-        for edge in d.edges
-        if _dirac_part(verts[edge.source], verts[edge.target]) is None
+        for edge, _s, _t, part in d.index.known_edges
+        if part is None
     ]
     entries.append(
         CheckResult("first-order", not diagonal, "error", tuple(diagonal))
@@ -553,15 +551,10 @@ def _check_grading(
 
 
 def _check_operator_shapes(d: KrajewskiDiagram) -> CheckResult:
-    verts = d.index.vertices
     problems = []
-    for edge in d.edges:
-        if not isinstance(edge.operator, NumericOperator):
-            continue
-        s, t = verts[edge.source], verts[edge.target]
-        part = _dirac_part(s, t)
-        if part is None:
-            continue  # reported by the first-order check
+    for edge, s, t, part in d.index.known_edges:
+        if part is None or not isinstance(edge.operator, NumericOperator):
+            continue  # a diagonal edge is reported by the first-order check
         if part is _J_DELTA_J:
             expected = (t.row.dimension(d.algebra), s.row.dimension(d.algebra))
         else:

@@ -19,15 +19,12 @@ directives, duplicate or undeclared identifiers, and malformed matrices are
 parse errors carrying a precise source span.
 
 A line spaced as ``serialize`` writes it is read by one match of one
-pattern; any other line is tokenized.  Likewise a matrix literal spelled as
-``serialize`` writes it, rows and entries joined by ``", "`` and no other
-space, is checked by one match of a literal pattern and split on those
-separators.  Any other spelling takes the span-tracking reader, and so does
-a canonical-looking literal with an entry that does not read, so that
-reader words and places every matrix error.  Each parse keeps three tables,
-dropped when it returns: literal text -> operator and operator label ->
-operator, so an edge and its j-mirror share one operator, and entry text ->
-value, so each distinct entry is read once.
+pattern; any other line is tokenized.  Every matrix literal, however it is
+spaced, is read by one span-tracking reader, which also words and places
+every matrix error.  Each parse keeps three tables, dropped when it
+returns: literal text -> operator and operator label -> operator, so an
+edge and its j-mirror share one operator, and stripped entry text -> value,
+so each distinct entry is read once whatever the spacing around it.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .diagram import (
     SymbolicOperator,
     jmap_pairs,
 )
-from .exactlin import GaussRational, Matrix
+from .exactlin import GaussRational
 
 __all__ = ["SourceSpan", "ParseError", "parse", "serialize", "format_entry"]
 
@@ -199,12 +196,10 @@ def _entry_re() -> re.Pattern[str]:
 
 
 @functools.cache
-def _literal_re() -> re.Pattern[str]:
-    """A matrix literal spelled as serialize writes it, ``[[a, b], [c, d]]``:
-    at least one row of at least one entry, each entry a run of the entry
-    pattern's characters.  Compiled at the first matrix literal."""
-    row = r"\[[0-9i+*/-]+(?:, [0-9i+*/-]+)*\]"
-    return re.compile(rf"\[{row}(?:, {row})*\]")
+def _bracket_re() -> re.Pattern[str]:
+    """A bracket or a comma, the only characters that split a literal into
+    rows; compiled at the first matrix literal."""
+    return re.compile(r"[][,]")
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -276,19 +271,22 @@ def _split_top_level(text: str) -> list[tuple[str, int]]:
             start += len(chunk) + 1
         return chunks
     depth = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
+    for m in _bracket_re().finditer(text):
+        ch, i = m[0], m.start()
+        if ch != ",":
+            depth += 1 if ch == "[" else -1
+        elif depth == 0:
             chunks.append((text[start:i], start))
             start = i + 1
     chunks.append((text[start:], start))
     return chunks
 
 
-def _parse_matrix(literal: str, lineno: int, column: int) -> NumericOperator:
+def _parse_matrix(
+    entries: dict[str, GaussRational], literal: str, lineno: int, column: int
+) -> NumericOperator:
+    """The operator of a literal that starts at column.  A cell is read only
+    on a miss of entries, keyed by its stripped text."""
     text = literal.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(
@@ -305,14 +303,15 @@ def _parse_matrix(literal: str, lineno: int, column: int) -> NumericOperator:
                 SourceSpan(lineno, row_col, max(len(row_text), 1)),
                 "matrix rows must be bracketed lists",
             )
-        entries = []
+        row = []
         row_inner = row_text[1:-1]
         if row_inner.strip():
             for cell, cell_off in _split_top_level(row_inner):
-                entries.append(
-                    _parse_entry(cell, lineno, row_col + 1 + cell_off)
-                )
-        rows.append(tuple(entries))
+                value = entries.get(key := cell.strip())
+                if value is None:
+                    value = entries[key] = _parse_entry(cell, lineno, row_col + 1 + cell_off)
+                row.append(value)
+        rows.append(tuple(row))
     return NumericOperator(tuple(rows))
 
 
@@ -333,7 +332,7 @@ class _ParserState:
     # so the second shares the first one's operator
     matrices: dict[str, NumericOperator] = field(default_factory=dict)
     symbols: dict[str, SymbolicOperator] = field(default_factory=dict)
-    # entry text -> its value, for the entries of canonical literals
+    # stripped entry text -> its value
     entries: dict[str, GaussRational] = field(default_factory=dict)
 
 
@@ -488,36 +487,14 @@ def _rep_label(state: _ParserState, m, group: str, lineno: int) -> RepLabel:
 
 
 def _matrix(state: _ParserState, m, lineno: int) -> NumericOperator:
-    """The operator of an edge's matrix literal, read once per parse.  A
-    literal in serialize's spelling whose entries all read is split by
-    _canonical_rows; any other, and every error, goes through _parse_matrix."""
+    """The operator of an edge's matrix literal, read once per parse."""
     literal = _matrix_literal(m["ematrix"])
     operator = state.matrices.get(literal)
     if operator is None:
-        rows = _canonical_rows(state.entries, literal) if _literal_re().fullmatch(literal) else None
-        if rows is None:
-            operator = _parse_matrix(literal, lineno, m.start("ematrix") + 1)
-        else:
-            operator = NumericOperator(rows)
-        state.matrices[literal] = operator
+        operator = state.matrices[literal] = _parse_matrix(
+            state.entries, literal, lineno, m.start("ematrix") + 1
+        )
     return operator
-
-
-def _canonical_rows(entries: dict[str, GaussRational], literal: str) -> Matrix | None:
-    """The rows of a literal that _literal_re matched, each distinct entry
-    text read once per parse through entries; None if an entry does not
-    read, so that _parse_matrix words and places its error."""
-    rows = []
-    for row in literal[2:-2].split("], ["):
-        cells = row.split(", ")
-        for text in cells:
-            if text not in entries:
-                try:
-                    entries[text] = _parse_entry(text, 0, 0)
-                except ParseError:
-                    return None
-        rows.append(tuple(map(entries.__getitem__, cells)))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
     required = required_counterterms(d)  # the public stages, as a tracer counts them
     generated = action_terms(d)
     _, position, pairs, number = _required(d)
-    firsts = _pairing(d, 4).firsts
+    pair_number = _pairing(d, 4).number
     keys = _generated(d)[1]
     n = len(generated) - len(keys)
     matched: list[InvariantTerm | None] = [*generated[:n], *repeat(None, len(required) - n)]
@@ -505,7 +505,7 @@ def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
             # a mixed walk's two sorted 2-slot blocks, so i <= j; a row edge
             # that is no Γ̃ edge has no number and matches nothing
             i, j = number.get(key[0][0]), number.get(key[1][0])
-            at = None if i is None or j is None else pairs[firsts[i] + j - i]
+            at = None if i is None or j is None else pairs[pair_number(i, j)]
         else:
             at = position.get(key)
         if at is not None and matched[at] is None:

@@ -118,9 +118,9 @@ def exemption_check(g1: Cycle, g2: Cycle, d: KrajewskiDiagram) -> Exemption:
 class _Pairing(NamedTuple):
     """The pairs of cycles of total length up to a bound and the exemption
     of each.  The cycles are sorted by length, so the partners j >= i of
-    cycle i end at ``stops[i]``, before the first too long for it, and pair
-    (i, j) is number ``firsts[i] + j - i`` of the pairs i <= j in
-    lexicographic order of cycle index.  ``exemptions`` holds each pair's
+    cycle i end at ``stops[i]``, before the first too long for it, and the
+    pairs i <= j are numbered in lexicographic order of cycle index, from
+    ``firsts[i]`` for cycle i on.  ``exemptions`` holds each pair's
     ``Exemption`` by that number.  ``through`` maps a label to the numbers
     of the cycles through it, ascending."""
 
@@ -129,6 +129,10 @@ class _Pairing(NamedTuple):
     firsts: list[int]
     through: dict[RepLabel, list[int]]
     exemptions: tuple[Exemption, ...]
+
+    def number(self, i: int, j: int) -> int:
+        """The number of the pair (i, j), i <= j, within the bound."""
+        return self.firsts[i] + j - i
 
     def pairs(self, items: Sequence) -> Iterator[tuple]:
         """(items[i], items[j]) for each pair (i, j) in order of number, for
@@ -166,7 +170,7 @@ def _pairing(d: KrajewskiDiagram, bound: int) -> _Pairing:
         pairing = _Pairing(cycles, stops, firsts, through, ())
         decided = [_NOT_EXEMPT] * firsts[-1]
         for i, j in pairing.meeting(cycles):
-            decided[firsts[i] + j - i] = exemption_check(cycles[i], cycles[j], d)
+            decided[pairing.number(i, j)] = exemption_check(cycles[i], cycles[j], d)
         return pairing._replace(exemptions=tuple(decided))
 
     return d.index.stage(("pairing", bound), build)
@@ -246,7 +250,7 @@ def _check_r_connected(d: KrajewskiDiagram, m: int, strict_bounds: bool) -> RCon
              for c in cycles]
     witnesses = [None] * len(exemptions)
     for i, j in pairing.meeting(reach):
-        at = pairing.firsts[i] + j - i
+        at = pairing.number(i, j)
         if not exemptions[at].exempt:
             c1, c2 = cycles[i], cycles[j]
             witness = lift_pair(c1, c2, d) if not reach[i].isdisjoint(c2) else None
@@ -274,7 +278,7 @@ def _condition_three(pairing: _Pairing, bound: int) -> tuple[tuple[Cycle, ...], 
     growing at the first cycle that does not fit."""
     if bound < 6:
         return ()  # three cycles have total length at least 6
-    cycles, _, firsts, _, exemptions = pairing
+    cycles, exemptions, number = pairing.cycles, pairing.exemptions, pairing.number
     if all(ex.exempt for ex in exemptions):
         return ()  # no tuple holds a pair that is not exempt
     lengths = [len(c) for c in cycles]
@@ -290,8 +294,8 @@ def _condition_three(pairing: _Pairing, bound: int) -> tuple[tuple[Cycle, ...], 
         if nxt < len(cycles) and size + lengths[nxt] <= bound:
             repeated = bool(members) and members[-1] == nxt
             if ok:
-                ok = exemptions[firsts[nxt]].exempt if repeated else all(
-                    exemptions[firsts[i] + nxt - i].exempt for i in distinct
+                ok = exemptions[number(nxt, nxt)].exempt if repeated else all(
+                    exemptions[number(i, nxt)].exempt for i in distinct
                 )
             members.append(nxt)
             if not repeated:

@@ -436,12 +436,14 @@ class TestValidation:
 
 class TestValidationBuildsFewTables:
     """validate builds only the index tables its checks read: the vertex
-    map, plus ``cells`` only when a mirror is inferred, and the horizontal
-    edge table (with the known edges it is built from) only when both kinds
-    of operator occur.  A validated copy is kept for every corpus member, so
-    each table more is paid for by every member held."""
+    map and the known edges (each edge's Dirac part, which the first-order
+    and operator-shape checks read and every analysis reads next), plus
+    ``cells`` only when a mirror is inferred, and the horizontal edge table
+    only when both kinds of operator occur.  A validated copy is kept for
+    every corpus member, so each table more is paid for by every member
+    held."""
 
-    BASE = {"vertices", "_edges", "_stages"}
+    BASE = {"vertices", "_edges", "_stages", "known_edges"}
 
     @staticmethod
     def _tables_after_validate(d: KrajewskiDiagram) -> set[str]:

@@ -20,8 +20,8 @@ from kra import (
     structural_key,
 )
 
+import kra.dsl
 import oracle_dsl
-from kra.dsl import _literal_re
 
 from conftest import (
     FIXTURE_NAMES,
@@ -354,10 +354,9 @@ def matrix_documents(draw) -> tuple[str, str]:
 
 
 class TestCanonicalMatrixLiterals:
-    """A literal spelled as serialize writes it is read by one match of
-    ``_literal_re`` and split on its separators; any other spelling, and
-    every error, takes the span-tracking path.  Both read the same values,
-    and every error keeps its message and position."""
+    """A literal spelled as serialize writes it and the same literal spaced
+    otherwise read the same values, each distinct entry once per parse, and
+    every error keeps its message and position."""
 
     PRELUDE = "factor c1 C 1\nvertex v c1 c1 +\n"
 
@@ -365,10 +364,6 @@ class TestCanonicalMatrixLiterals:
     @settings(max_examples=150, deadline=None)
     def test_both_paths_and_the_oracle_read_equal_diagrams(self, documents):
         canonical, spaced = documents
-        literals = [line.partition(" matrix ")[2] for line in canonical.splitlines()[2:]]
-        assert all(_literal_re().fullmatch(lit) for lit in literals)
-        assert not any(_literal_re().fullmatch(line.partition(" matrix ")[2])
-                       for line in spaced.splitlines()[2:])
         assert parse(canonical) == parse(spaced) == oracle_dsl.parse(canonical)
 
     @pytest.mark.parametrize("literal, column, message", [
@@ -402,6 +397,20 @@ class TestCanonicalMatrixLiterals:
         (a, b), (c, three) = d.edges[0].operator.matrix
         assert a is c and d.edges[1].operator.matrix == ((three, a),)
         assert d.edges[1].operator.matrix[0][0] is three
+
+    def test_an_entry_is_read_once_however_it_is_spaced(self, monkeypatch):
+        read = []
+
+        def counting(text, lineno, column):
+            read.append(text.strip())
+            return parse_entry(text, lineno, column)
+
+        parse_entry = kra.dsl._parse_entry
+        monkeypatch.setattr(kra.dsl, "_parse_entry", counting)
+        d = parse(self.PRELUDE + "edge e v -> v matrix [[1/2]]\n"
+                  "edge f v -> v matrix [ [1/2] ]\nedge g v -> v matrix [[ 1/2 ]]\n")
+        assert read == ["1/2"]
+        assert len({id(e.operator.matrix[0][0]) for e in d.edges}) == 1
 
     def test_an_edge_and_its_mirror_share_one_symbolic_operator(self):
         e, je = parse(TestMatrixLiteralReuse.TWO_EDGES.replace(
