@@ -8,12 +8,13 @@ issues the renormalizability verdict for the asymptotically expanded
 action.  A ``.kra`` text format and the ``kra`` command-line tool wrap the
 library.
 
-The package exports every name in its submodules' ``__all__``.  Importing
-it executes none of them: each submodule is put into ``sys.modules`` and
-onto the package through ``importlib.util.LazyLoader``, so its body runs
-at the first read of one of its attributes, and the exported names are
-resolved on first use (PEP 562) through a table of which submodule
-exports each.
+The package exports every name in its submodules' ``__all__``, and each
+submodule reads its ``__all__`` from the package's table ``_SUBMODULES``
+of which submodule exports each name.  Importing the package executes no
+submodule: each is put into ``sys.modules`` and onto the package through
+``importlib.util.LazyLoader``, so its body runs at the first read of one
+of its attributes, and the exported names are resolved on first use
+(PEP 562) through the same table.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import sys
 
 __version__ = "0.1.0"
 
-#: each submodule and the names it exports, in the order of its ``__all__``
-#: (tests/test_exports.py checks that the two agree), so that the package
-#: answers for any name without executing a submodule
+#: each submodule and the names it exports: the one list of exports.  Each
+#: submodule's ``__all__`` is read from here, so the package answers for any
+#: name without executing a submodule
 _SUBMODULES = {
     "algebra": (
         "FactorKind", "AlgebraFactor", "FiniteAlgebra", "RepLabel", "GaugeAlgebraDecomposition",
@@ -56,6 +57,7 @@ _SUBMODULES = {
         "validate_profile", "omega_bound", "omega_external", "heat_kernel_coefficients",
         "propagator_uv_degrees", "renorm_verdict", "NON_MULTIPLICATIVE_NOTE", "ORDER_FOUR_NOTE",
         "ORDER_EIGHT_VACUUM_NOTE", "IRREP_HYPOTHESIS", "RCONNECT_HYPOTHESIS",
+        "COVERAGE_HYPOTHESIS",
     ),
     "rconnect": (
         "Exemption", "RConnectReport", "exemption_check", "check_r_connected",

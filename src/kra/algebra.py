@@ -15,19 +15,9 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-__all__ = [
-    "FactorKind",
-    "AlgebraFactor",
-    "FiniteAlgebra",
-    "RepLabel",
-    "GaugeAlgebraDecomposition",
-    "UnimodularityRelation",
-    "gauge_lie_algebra",
-    "simple_factor_dimension",
-    "algebra_dimension",
-    "unimodularity_relation",
-    "irrep_correspondence_check",
-]
+from . import _SUBMODULES
+
+__all__ = list(_SUBMODULES["algebra"])
 
 
 class FactorKind(enum.Enum):

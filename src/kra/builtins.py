@@ -15,11 +15,11 @@ Three families ship with the package:
 
 from __future__ import annotations
 
-from . import _decimal_int
+from . import _SUBMODULES, _decimal_int
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
 from .diagram import DiagramVertex, EdgePair, KrajewskiDiagram, SymbolicOperator
 
-__all__ = ["builtin", "BUILTIN_SUMMARIES"]
+__all__ = list(_SUBMODULES["builtins"])
 
 BUILTIN_SUMMARIES: dict[str, str] = {
     "ym": "pure Yang-Mills: M_N(C) on C^N x C^N*, no edges (use ym:N, e.g. ym:3)",

@@ -287,11 +287,12 @@ def _rconnect_text(r: dict) -> list[str]:
     lines.append(f"condition 2 (cycle pairs): {len(r['cond2'])} checked")
     for entry in r["cond2"]:
         disp = " + ".join(c["display"] for c in entry["pair"])
-        exemption, witness = entry["exemption"], entry["witness"]
-        if exemption is not None:
+        status = entry["status"]
+        if status == "exempt":
+            exemption = entry["exemption"]
             lines.append(f"  [exempt] {disp}: {exemption['clause']} at {exemption['vertex']}")
-        elif witness is not None:
-            lines.append(f"  [ok] {disp} lifted by {witness['display']}")
+        elif status == "lifted":
+            lines.append(f"  [ok] {disp} lifted by {entry['witness']['display']}")
         else:
             lines.append(f"  [MISSING] {disp} has no common lift")
     offending = f"{len(r['cond3'])} offending" if r["cond3"] else "none offending"

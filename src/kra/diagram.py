@@ -19,29 +19,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
+from . import _SUBMODULES
 from .algebra import FactorKind, FiniteAlgebra, RepLabel
 from .exactlin import GaussRational, Matrix
 
-__all__ = [
-    "KOSigns",
-    "ko_signs",
-    "DiagramVertex",
-    "SymbolicOperator",
-    "NumericOperator",
-    "EdgePair",
-    "KrajewskiDiagram",
-    "DiagramIndex",
-    "DiracPart",
-    "edge_part",
-    "dirac_decomposition",
-    "CheckResult",
-    "ValidationReport",
-    "validate",
-    "resolve_jmap",
-    "hilbert_dimension",
-    "fundamental_multiplicities",
-    "structural_key",
-]
+__all__ = list(_SUBMODULES["diagram"])
 
 T = TypeVar("T")
 K = TypeVar("K", RepLabel, str)
@@ -460,14 +442,14 @@ def validate(d: KrajewskiDiagram) -> ValidationReport:
             )
         )
 
-    ok = all(e.ok or e.severity != "error" for e in entries)
-    resolved = None
-    if ok and mapping is not None:
-        resolved = KrajewskiDiagram(
-            d.algebra, d.kodim, d.vertices, d.edges, _normalized_jmap(mapping.items()), d.families
-        )
-        object.__setattr__(resolved, "_index", d.index)
-    return ValidationReport(tuple(entries), resolved)
+    report = ValidationReport(tuple(entries), None)
+    if not report.ok:  # a jmap that does not resolve is an error entry
+        return report
+    resolved = KrajewskiDiagram(
+        d.algebra, d.kodim, d.vertices, d.edges, _normalized_jmap(mapping.items()), d.families
+    )
+    object.__setattr__(resolved, "_index", d.index)
+    return report._replace(diagram=resolved)
 
 
 def _check_structure(d: KrajewskiDiagram) -> CheckResult:

@@ -36,6 +36,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
+from . import _SUBMODULES
 from .algebra import AlgebraFactor, FactorKind, FiniteAlgebra, RepLabel
 from .diagram import (
     DiagramVertex,
@@ -47,7 +48,7 @@ from .diagram import (
 )
 from .exactlin import GaussRational
 
-__all__ = ["SourceSpan", "ParseError", "parse", "serialize", "format_entry"]
+__all__ = list(_SUBMODULES["dsl"])
 
 
 class SourceSpan(NamedTuple):

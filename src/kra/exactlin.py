@@ -17,7 +17,9 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
-__all__ = ["GaussRational", "Matrix", "matrix_rank", "span_rank"]
+from . import _SUBMODULES
+
+__all__ = list(_SUBMODULES["exactlin"])
 
 
 @dataclass(frozen=True, slots=True)

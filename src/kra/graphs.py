@@ -21,23 +21,11 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from . import _SUBMODULES
 from .algebra import FiniteAlgebra, RepLabel
 from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram, proj_edge
 
-__all__ = [
-    "Cycle",
-    "ProjEdge",
-    "ProjectedGraph",
-    "LiftWitness",
-    "proj_edge",
-    "project",
-    "canonical_cycle",
-    "cycle_display",
-    "enumerate_cycles",
-    "diagram_cycles",
-    "lift_cycle",
-    "lift_pair",
-]
+__all__ = list(_SUBMODULES["graphs"])
 
 Cycle = tuple[RepLabel, ...]
 """A cycle as its vertex sequence ``(v0, …, v_{k-1})``; the closing edge

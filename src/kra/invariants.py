@@ -48,6 +48,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import _SUBMODULES
 from .algebra import FiniteAlgebra, RepLabel, gauge_lie_algebra
 from .diagram import _DELTA, _J_DELTA_J, DiagramIndex, KrajewskiDiagram, SymbolicOperator
 from .exactlin import GaussRational, span_rank
@@ -56,21 +57,7 @@ from .graphs import (
 )
 from .rconnect import SHARED_TRIVIAL_VERTEX, _pairing
 
-__all__ = [
-    "TermKind",
-    "TraceSlot",
-    "FieldComponent",
-    "FieldInventory",
-    "InvariantTerm",
-    "CoverageReport",
-    "enumerate_fields",
-    "basis_dimension",
-    "action_terms",
-    "required_counterterms",
-    "counterterm_coverage",
-    "canonical_block",
-    "structure_display",
-]
+__all__ = list(_SUBMODULES["invariants"])
 
 
 class TermKind(enum.Enum):
@@ -487,7 +474,13 @@ class CoverageReport(NamedTuple):
 def counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
     """Match each required counterterm to the first generated action term
     of the same canonical trace structure; a generated double trace that
-    collapses at a shared trivial vertex matches the single trace.
+    collapses at a shared trivial vertex matches the single trace.  The
+    report is computed once per diagram."""
+    return d.index.stage("counterterm_coverage", lambda: _counterterm_coverage(d))
+
+
+def _counterterm_coverage(d: KrajewskiDiagram) -> CoverageReport:
+    """The coverage report, as ``counterterm_coverage`` states it.
 
     One loop builds the F² and edge terms of both lists, so generated term k
     of them matches required term k.  A quartic of two 2-cycle blocks looks

@@ -22,28 +22,13 @@ from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
+from . import _SUBMODULES
+
 if TYPE_CHECKING:
     from .diagram import KrajewskiDiagram
     from .rconnect import RConnectReport
 
-__all__ = [
-    "GraphProfile",
-    "ExpansionOrder",
-    "HeatKernelCoefficients",
-    "Verdict",
-    "expansion_order",
-    "validate_profile",
-    "omega_bound",
-    "omega_external",
-    "heat_kernel_coefficients",
-    "propagator_uv_degrees",
-    "renorm_verdict",
-    "NON_MULTIPLICATIVE_NOTE",
-    "ORDER_FOUR_NOTE",
-    "ORDER_EIGHT_VACUUM_NOTE",
-    "IRREP_HYPOTHESIS",
-    "RCONNECT_HYPOTHESIS",
-]
+__all__ = list(_SUBMODULES["powercount"])
 
 
 @dataclass(frozen=True)
@@ -203,6 +188,7 @@ ORDER_EIGHT_VACUUM_NOTE = (
 
 IRREP_HYPOTHESIS = "irreducible-representation correspondence fails"
 RCONNECT_HYPOTHESIS = "R-connectedness fails"
+COVERAGE_HYPOTHESIS = "counterterm coverage incomplete"
 
 
 class Verdict(NamedTuple):
@@ -224,11 +210,15 @@ class Verdict(NamedTuple):
 def renorm_verdict(d: KrajewskiDiagram, n: int | ExpansionOrder) -> Verdict:
     """Sufficient-condition verdict at expansion order n.
 
-    Both hypotheses passing yields Renormalizable (Superrenormalizable for
-    n >= 8); any failure yields Inconclusive — never "non-renormalizable",
-    the criterion being sufficient only.  Superrenormalizable means that
-    every multi-loop graph with an external line converges; at n = 8 the
-    two-loop vacuum graph is marginal, which ORDER_EIGHT_VACUUM_NOTE records.
+    The irrep hypothesis and R-connectedness in dimension 4 both passing,
+    with every required counterterm generated, yields Renormalizable
+    (Superrenormalizable for n >= 8); any failure yields Inconclusive —
+    never "non-renormalizable", the criterion being sufficient only.
+    Coverage is read only when the other two hypotheses hold, so a verdict
+    that fails one of them names no third and computes no action terms.
+    Superrenormalizable means that every multi-loop graph with an external
+    line converges; at n = 8 the two-loop vacuum graph is marginal, which
+    ORDER_EIGHT_VACUUM_NOTE records.
     """
     # imported at call time: power counting without a diagram runs no diagram code
     from .algebra import irrep_correspondence_check
@@ -238,14 +228,20 @@ def renorm_verdict(d: KrajewskiDiagram, n: int | ExpansionOrder) -> Verdict:
     irrep_ok, irrep_detail = irrep_correspondence_check(d.algebra)
     report = check_r_connected(d, 4)
     failing = []
-    if irrep_ok and report.verdict:
-        verdict = "Superrenormalizable" if order >= 8 else "Renormalizable"
-    else:
+    if not report.verdict:
+        failing.append(RCONNECT_HYPOTHESIS)
+    if not irrep_ok:
+        failing.append(IRREP_HYPOTHESIS)
+    if not failing:
+        # imported here: a verdict that fails another hypothesis runs no term code
+        from .invariants import counterterm_coverage
+
+        if not counterterm_coverage(d).complete:
+            failing.append(COVERAGE_HYPOTHESIS)
+    if failing:
         verdict = "Inconclusive"
-        if not report.verdict:
-            failing.append(RCONNECT_HYPOTHESIS)
-        if not irrep_ok:
-            failing.append(IRREP_HYPOTHESIS)
+    else:
+        verdict = "Superrenormalizable" if order >= 8 else "Renormalizable"
     notes = [NON_MULTIPLICATIVE_NOTE]
     if order == 4:
         notes.append(ORDER_FOUR_NOTE)

@@ -18,13 +18,14 @@ there the pseudo-real structure of the quaternionic representation lets the
 paired invariant decompose into invariants already generated along single
 cycles, so no independent counterterm arises.
 
-Two readings are open (ROADMAP item 13): a pair exempt at a shared trivial
-vertex needs no lift here, yet ``invariants`` requires its collapsed trace;
-and ``lift_cycle`` lets vertical steps pad a lift, yet only a four-step walk
-generates a quartic.  The candidates: (a) that exemption also requires the
-collapsed figure-eight to lift; (b) at m = 4 a 4-cycle needs an unpadded
-lift; (c) R-connectedness stays as it is, and the verdict gains complete
-coverage as a third hypothesis.
+This module and ``invariants`` read the criterion differently (ROADMAP
+item 13): a pair exempt at a shared trivial vertex needs no lift here, yet
+``invariants`` requires its collapsed trace; and ``lift_cycle`` lets
+vertical steps pad a lift, yet only a four-step walk generates a quartic.  Reading (c) has
+landed: R-connectedness stays as it is, and the verdict gains complete
+coverage as a third hypothesis.  Readings (a), that exemption also
+requires the collapsed figure-eight to lift, and (b), that at m = 4 a
+4-cycle needs an unpadded lift, stay open.
 
 ``_Pairing`` numbers and enumerates the pairs of cycles within a length
 bound and decides each pair's exemption, once per diagram and bound;
@@ -51,6 +52,7 @@ from bisect import bisect_right
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import _SUBMODULES
 from .algebra import FactorKind, RepLabel
 from .diagram import KrajewskiDiagram
 from .graphs import (
@@ -61,14 +63,7 @@ from .graphs import (
     lift_pair,
 )
 
-__all__ = [
-    "Exemption",
-    "RConnectReport",
-    "exemption_check",
-    "check_r_connected",
-    "SHARED_TRIVIAL_VERTEX",
-    "QUATERNION_CONJUGATE_PAIR",
-]
+__all__ = list(_SUBMODULES["rconnect"])
 
 SHARED_TRIVIAL_VERTEX = "shared-trivial-vertex"
 QUATERNION_CONJUGATE_PAIR = "quaternion-conjugate-pair"

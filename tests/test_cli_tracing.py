@@ -65,7 +65,8 @@ EXPECTED = {
     ("coverage", "chain"): {**_COVERAGE, "rconnect.exemption_check": 5},
     ("check-rconnect", "sm"): _RCONNECT_SM,
     ("check-rconnect", "chain"): _RCONNECT_CHAIN,
-    ("verdict", "sm"): {**_RCONNECT_SM, "powercount.renorm_verdict": 1},
+    # sm holds both hypotheses, so its verdict also reads coverage
+    ("verdict", "sm"): {**_RCONNECT_SM, **_COVERAGE, "powercount.renorm_verdict": 1},
     ("verdict", "chain"): {**_RCONNECT_CHAIN, "powercount.renorm_verdict": 1},
     ("fmt", "sm"): {"dsl.serialize": 1},
     ("fmt", "chain"): {"dsl.serialize": 1},

@@ -1,7 +1,7 @@
 """``kra.__all__`` is the union of the submodules' ``__all__``, read from
-the package's table of which submodule exports each name; and the oracles
-take only the data model, the index, the records and the constants from
-``kra``."""
+the package's table of which submodule exports each name, the one list of
+exports: no submodule writes its own; and the oracles take only the data
+model, the index, the records and the constants from ``kra``."""
 
 from __future__ import annotations
 
@@ -39,6 +39,22 @@ def test_the_table_of_exports_matches_each_submodule():
     for name in SUBMODULES:
         assert list(table[name]) == importlib.import_module(f"kra.{name}").__all__, name
     assert kra.__all__ == ["__version__", *(n for name in SUBMODULES for n in table[name])]
+
+
+def test_no_submodule_writes_its_exports_as_a_literal():
+    # each reads them from the table, so an export is listed in one place
+    src = Path(kra.__file__).parent
+    for name in kra._SUBMODULES:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                assert not isinstance(node.value, (ast.List, ast.Tuple)), name
 
 
 def test_long_standing_names_are_still_exported():

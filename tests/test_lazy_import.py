@@ -81,6 +81,8 @@ TEXT_RUNS = {
     ("counterterms", "--builtin", "sm"): ("invariants", {"dsl"}),
     ("check-rconnect", "--builtin", "chain"): ("rconnect", {"dsl", "invariants"}),
     ("verdict", "--builtin", "sm"): ("powercount", {"dsl"}),
+    # chain is not R-connected, so its verdict reads no coverage
+    ("verdict", "--builtin", "chain"): ("powercount", {"dsl", "invariants"}),
     # these read integers, and a profile's JSON, but need no other module
     ("powercount",): ONLY_POWERCOUNT,
     ("powercount", "-n", "8"): ONLY_POWERCOUNT,

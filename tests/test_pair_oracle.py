@@ -154,7 +154,6 @@ def test_the_item_13_cases_miss_one_collapsed_pair_term(name):
     assert missing[0].origin.endswith(", collapsed at the shared trivial vertex")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the verdict does not read coverage")
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_a_renormalizable_verdict_has_complete_coverage(name):
     d = must_validate(load_case(name))

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from kra import (
+    COVERAGE_HYPOTHESIS,
     IRREP_HYPOTHESIS,
     NON_MULTIPLICATIVE_NOTE,
     ORDER_EIGHT_VACUUM_NOTE,
@@ -29,7 +30,9 @@ from kra import (
 )
 
 from conftest import (
+    CASE_NAMES,
     PROFILE_MUTATIONS,
+    load_case,
     must_validate,
     mutate_profile,
     random_consistent_profile,
@@ -301,6 +304,16 @@ class TestRenormVerdict:
         assert v.failing_hypotheses == (RCONNECT_HYPOTHESIS,)
         assert v.headline == f"Inconclusive: {RCONNECT_HYPOTHESIS}"
         assert v.irrep_ok
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_incomplete_coverage_fails_a_third_hypothesis(self, name):
+        # ROADMAP item 13's texts hold both hypotheses and miss a required term
+        d = must_validate(load_case(name))
+        for n in (4, 8):
+            v = renorm_verdict(d, n)
+            assert v.irrep_ok and v.rconnect.verdict
+            assert v.failing_hypotheses == (COVERAGE_HYPOTHESIS,)
+            assert v.headline == f"Inconclusive: {COVERAGE_HYPOTHESIS}"
 
     def test_both_hypotheses_can_fail_and_are_ordered(self):
         d = builtin("chain")

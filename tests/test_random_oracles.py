@@ -9,7 +9,9 @@ per class under relabelling.  On each, the action terms must have the
 ``repr`` of ``oracle_walks``, and the required terms, coverage and
 ``check_r_connected(·, 4)`` that of ``oracle_pairs``, each oracle run on a
 copy with a fresh index; on the census, so must ``check_r_connected`` at
-m = 6 and 8, where condition 3 is not vacuous.
+m = 6 and 8, where condition 3 is not vacuous.  On each, a
+``Renormalizable`` or ``Superrenormalizable`` verdict must come with
+complete coverage.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import pytest
 import oracle_pairs
 import oracle_walks
 from kra import (
-    CoverageReport, action_terms, check_r_connected, counterterm_coverage, required_counterterms,
+    CoverageReport, action_terms, check_r_connected, counterterm_coverage, renorm_verdict,
+    required_counterterms,
 )
 from kra.invariants import _required
 
@@ -32,7 +35,8 @@ COLLAPSED = ", collapsed at the shared trivial vertex"
 
 
 def _assert_stages_give_the_oracle_results(d) -> CoverageReport:
-    """Compare each stage on d with its oracle; return d's coverage."""
+    """Compare each stage on d with its oracle, and check that the verdict
+    is Inconclusive unless coverage is complete; return d's coverage."""
     copy = replace(d)  # a fresh index: nothing computed on d is shared
     generated = oracle_walks.action_terms(copy)
     assert repr(action_terms(d)) == repr(generated)
@@ -40,6 +44,8 @@ def _assert_stages_give_the_oracle_results(d) -> CoverageReport:
     coverage = counterterm_coverage(d)
     assert repr(coverage) == repr(oracle_pairs.counterterm_coverage(copy, generated))
     assert repr(check_r_connected(d, 4)) == repr(oracle_pairs.check_r_connected(copy, 4))
+    verdict = renorm_verdict(d, 4).verdict
+    assert verdict == "Inconclusive" or coverage.complete, verdict
     return coverage
 
 
